@@ -163,8 +163,12 @@ def score_candidates(model: GPT, context: np.ndarray, candidates) -> int:
     """Likelihood-ranked choice: index of the highest-scoring candidate.
 
     Delegates to the serving adapter, which scores every candidate in one
-    right-padded batch — bit-identical to the historical per-candidate
-    loop (the causal mask keeps padded positions out of real ones).
+    right-padded batch.  That is not bit-identical to the historical
+    per-candidate loop: the causal mask keeps padded positions out of the
+    attention scores, but a shorter candidate's padding rows join its last
+    V block along the sequence axis and can move that block's shared
+    exponent, so a score may differ from
+    :meth:`GPT.sequence_logprob` on the same pair (docs/SERVING.md).
     """
     from ..serve.adapters import adapter_for
 

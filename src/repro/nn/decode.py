@@ -745,20 +745,29 @@ def init_paged_decode_state(model, pool, owner: str) -> DecodeState:
 # Fused stepping of ragged concurrent streams
 # ----------------------------------------------------------------------
 def supports_batched_decode(model) -> bool:
-    """True when one fused step over ragged streams is bit-identical.
+    """True when one fused step over packed ragged streams is bit-identical.
 
-    Stacking streams of different lengths into one padded batch only
-    preserves bits if no operation lets rows influence each other *and*
-    no reduction regroups when the batch shape changes.  Row-local ops
-    (embeddings, LayerNorm, residuals, per-row quantization) satisfy this
-    unconditionally; matmul reductions satisfy it only when every dot
-    product is exact in float64 — the
-    :func:`~repro.nn.residency.supports_fused_projection` condition
-    (pow2-scaled low-mantissa operands), under which accumulation order
-    cannot matter.  Softmax sums are *not* length-stable under padding
-    (NumPy's pairwise blocking regroups), so the fused step keeps the
-    whole attention tail per-row at exactly serial shapes; this gate only
-    has to certify the batched trunk around it.
+    The fused step packs every stream's re-fed rows end to end into one
+    ``(1, sum(len_i), D)`` row set, with no padding.  Packing preserves
+    bits if no operation lets rows influence each other and no reduction
+    regroups when the row count changes:
+
+    * every shared exponent (one per ``k1`` block) and microexponent (one
+      per ``k2`` sub-block) the trunk computes lies inside one row's
+      reduction fiber, because trunk activations quantize along the
+      feature axis, so which rows share the set cannot move a quantized
+      bit;
+    * every trunk reduction (LayerNorm statistics, matmul dot products)
+      runs along the feature axis, whose length packing does not change;
+      the matmul reductions additionally need every dot product to be
+      exact in float64, the
+      :func:`~repro.nn.residency.supports_fused_projection` condition
+      (pow2-scaled low-mantissa operands), so the product's row count
+      cannot change its accumulation order;
+    * softmax sums run along the key axis, and V's ``k1`` blocks along the
+      sequence axis, so neither is row-local: the fused step keeps the
+      whole attention tail per stream at exactly serial shapes, and this
+      gate only has to certify the packed trunk around it.
     """
     from .layers import Linear
     from .residency import supports_epilogue, supports_fused_projection
@@ -807,30 +816,31 @@ def requantize_tails(caches) -> None:
             cache._tail_store(tail_len, vq)
 
 
-def _batched_block_step(block, x: Tensor, caches, bounds, totals, lens) -> Tensor:
-    """One transformer block over a padded ragged batch, cached.
+def _batched_block_step(block, x: Tensor, caches, bounds, totals, spans) -> Tensor:
+    """One transformer block over a packed ragged row set, cached.
 
-    The trunk (LayerNorm, fused Q/K/V projection, out_proj, FFN,
-    residuals) runs batched; the attention tail (scores product, scale,
-    mask, softmax, weights quantization, context product) runs per row
-    with exactly the serial shapes ``(1, H, L_i, T_i)`` so every
+    ``x`` is ``(1, sum(len_i), D)``: stream *i*'s re-fed rows are
+    ``x[0, spans[i]]``, packed end to end.  The trunk (LayerNorm, fused
+    Q/K/V projection, out_proj, FFN, residuals) runs once over real rows
+    only; the attention tail (scores product, scale, mask, softmax,
+    weights quantization, context product) runs per stream on its slice,
+    with exactly the serial shapes ``(1, H, L_i, T_i)``, so every
     reduction groups identically to :meth:`MultiHeadAttention
-    ._forward_cached` on that stream alone.  Rows beyond a stream's
-    length hold garbage that no real row ever reads.
+    ._forward_cached` on that stream alone.
 
-    Cache quantization is cross-stream batched: K columns for the whole
-    padded batch quantize in one call (position-local, so the padding
-    rows are inert), and the open-tail V requantizations group by tail
-    length through :func:`requantize_tails`.
+    Cache quantization is cross-stream batched: K columns of every stream
+    quantize in one call (position-local along ``head_dim``), each cache
+    appends its own slice, and the open-tail V requantizations group by
+    tail length through :func:`requantize_tails`.
     """
     attn = block.attn
     normed = block.ln1(x)
     q, k, v = attn._project_qkv(normed, normed)
-    kq = caches[0]._quantize_k(k.data) if caches else k.data
-    for i, cache in enumerate(caches):
+    kq = caches[0]._quantize_k(k.data)
+    for cache, rows in zip(caches, spans):
         cache.append(
-            kq[i : i + 1, :, : lens[i]],
-            v.data[i : i + 1, :, : lens[i]],
+            kq[:, :, rows],
+            v.data[:, :, rows],
             spec=attn.quant,
             k_quantized=True,
             defer_tail=True,
@@ -839,15 +849,12 @@ def _batched_block_step(block, x: Tensor, caches, bounds, totals, lens) -> Tenso
     fmt, rounding, rng = _activation_format(attn.quant)
     q_q = memo_quantize(q, fmt, -1, rounding=rounding, rng=rng)
 
-    n, padded = x.data.shape[0], x.data.shape[1]
-    ctx = np.zeros((n, padded, attn.num_heads * attn.head_dim))
-    for i, cache in enumerate(caches):
-        li = lens[i]
-        mask = causal_mask(totals[i])[bounds[i] :] if li > 1 else None
+    ctx = np.empty(x.data.shape)
+    for cache, rows, bound, total in zip(caches, spans, bounds, totals):
+        mask = causal_mask(total)[bound:] if total - bound > 1 else None
         # repro: allow(direct-matmul): fused fast path on already-quantized payloads; proven bit-exact vs dispatch by the equivalence suite
-        scores = np.matmul(q_q[i : i + 1, :, :li], cache.keys_t)
-        row_ctx = attn._pipeline_tail(scores, mask, lambda c=cache: c.values)
-        ctx[i, :li] = row_ctx.data[0]
+        scores = np.matmul(q_q[:, :, rows], cache.keys_t)
+        ctx[:, rows] = attn._pipeline_tail(scores, mask, lambda c=cache: c.values).data
     attended = attn.out_proj(Tensor(ctx))
     x = x + block.drop(attended)
     return x + block.drop(block.mlp(block.ln2(x)))
@@ -858,14 +865,15 @@ def batched_causal_decode_step(model, windows, states) -> np.ndarray:
 
     ``windows[i]`` is stream *i*'s whole 1-D token window so far and
     ``states[i]`` its :class:`DecodeState`; streams may sit at different
-    positions.  Each state rewinds to its sealed boundary, the open
-    suffixes are right-padded into one batch, and a single pass over the
-    blocks advances every stream.  Returns the ``(n, vocab)`` next-token
-    logits rows, each bit-identical to what
+    positions.  Each state rewinds to its sealed boundary and the open
+    suffixes are packed end to end into one ``(1, sum(len_i), D)`` row set
+    (stream *i* at offset ``sum(len_j for j < i)``), so a single pass over
+    the blocks advances every stream while the trunk runs real rows only.
+    Returns the ``(n, vocab)`` next-token logits, row *i* read from
+    stream *i*'s last packed row and bit-identical to what
     :func:`causal_decode_step` would produce for that stream alone —
     guaranteed only under :func:`supports_batched_decode`.
     """
-    n = len(windows)
     bounds, totals, suffixes = [], [], []
     for window, state in zip(windows, states):
         window = np.asarray(window)
@@ -878,19 +886,18 @@ def batched_causal_decode_step(model, windows, states) -> np.ndarray:
         bounds.append(boundary)
         totals.append(total)
         suffixes.append(window[boundary:])
-    lens = [suffix.shape[-1] for suffix in suffixes]
-    padded = max(lens)
-    tokens = np.zeros((n, padded), dtype=np.int64)
-    positions = np.zeros((n, padded, model.config.dim))
-    for i, suffix in enumerate(suffixes):
-        tokens[i, : lens[i]] = suffix
-        positions[i, : lens[i]] = model.positions[bounds[i] : totals[i]]
+    ends = np.cumsum([suffix.shape[-1] for suffix in suffixes])
+    spans = [slice(end - len(suffix), end) for end, suffix in zip(ends, suffixes)]
+    tokens = np.concatenate(suffixes).astype(np.int64, copy=False)[None]
+    positions = np.concatenate(
+        [model.positions[b:t] for b, t in zip(bounds, totals)]
+    )[None]
 
     x = model.token_emb(tokens) + Tensor(positions)
     for layer_idx, block in enumerate(model.blocks):
         caches = [state.layers[layer_idx] for state in states]
-        x = _batched_block_step(block, x, caches, bounds, totals, lens)
-    last = x.data[np.arange(n), np.asarray(lens) - 1]
+        x = _batched_block_step(block, x, caches, bounds, totals, spans)
+    last = x.data[0, ends - 1]
     for state, total in zip(states, totals):
         state.position = total
     return model.head(model.ln_f(Tensor(last))).data

@@ -14,14 +14,22 @@ protocol of five task verbs —
 * ``denoise``  — diffusion epsilon prediction.
 
 An adapter receives a *batch* of requests and is responsible for collating
-them so that batched execution is **bit-identical** to serial execution:
+them so that batched execution is **bit-identical** to serial execution,
+with one exception:
 
-* causal transformers right-pad to the longest sequence (positions of real
-  tokens are unchanged and the causal mask stops padding from leaking into
-  real positions — masked attention columns underflow to exactly 0.0);
 * bidirectional models (BERT, wav2vec) group requests by sequence length
   instead of padding;
-* row-independent models (DLRM, vision, diffusion) concatenate rows.
+* row-independent models (DLRM, vision, diffusion) concatenate rows;
+* causal transformers ``generate`` equal-shape prompts in lockstep (the
+  continuous scheduler packs ragged ones without padding, see
+  :func:`~repro.nn.decode.batched_causal_decode_step`);
+* causal transformers ``score`` right-padded to the longest sequence, and
+  that is **not** bit-identical: the causal mask keeps padding out of the
+  attention scores, but the context product quantizes V along the
+  sequence axis in ``k1`` blocks, so a shorter input's padding rows join
+  its last V block and can move that block's shared exponent.  A batched
+  score may differ from the same request scored alone (docs/SERVING.md;
+  reproducer in perfbench/README.md).
 
 The legacy model methods now delegate here (see :func:`adapter_for`), so
 one implementation serves both the old per-model API and the
@@ -253,8 +261,10 @@ class CausalLMAdapter(TaskAdapter):
     def _pair_logprobs(self, pairs) -> list[float]:
         """Batched ``sequence_logprob`` over (context, continuation) pairs.
 
-        Rows are right-padded to the longest input; the causal mask keeps
-        real positions bit-identical to unpadded per-pair execution.
+        Rows are right-padded to the longest input.  The causal mask keeps
+        padding out of the scores but not out of V's sequence-axis blocks,
+        so a pair's result can differ from unpadded per-pair execution
+        (see the module docstring).
         """
         prepared = self._pair_rows(pairs)
         if not prepared:

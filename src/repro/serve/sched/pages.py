@@ -63,7 +63,9 @@ class PagePool:
         self._checkouts = 0
         self._releases = 0
         self._high_water = 0
-        self._owner_high_water: dict[str, int] = {}
+        # largest page count any one owner has held; a scalar, so serving
+        # many distinct owners leaves no per-owner state behind
+        self._per_stream_high_water = 0
 
     # ------------------------------------------------------------------
     def checkout_pages(self, owner: str, n: int) -> list[int]:
@@ -82,8 +84,7 @@ class PagePool:
             self._checkouts += n
             used = self.total_pages - len(self._free)
             self._high_water = max(self._high_water, used)
-            prior = self._owner_high_water.get(owner, 0)
-            self._owner_high_water[owner] = max(prior, len(held))
+            self._per_stream_high_water = max(self._per_stream_high_water, len(held))
             return pages
 
     def checkout_page(self, owner: str) -> int:
@@ -135,14 +136,13 @@ class PagePool:
         """Occupancy/churn snapshot under the pool's own lock only."""
         with self._lock:
             used = self.total_pages - len(self._free)
-            per_stream_high = max(self._owner_high_water.values(), default=0)
             return {
                 "page_size": self.page_size,
                 "pages_total": self.total_pages,
                 "pages_free": len(self._free),
                 "pages_used": used,
                 "high_water": self._high_water,
-                "per_stream_high_water": per_stream_high,
+                "per_stream_high_water": self._per_stream_high_water,
                 "checkouts": self._checkouts,
                 "releases": self._releases,
                 "owners": len(self._owned),

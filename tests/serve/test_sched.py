@@ -14,7 +14,9 @@ import numpy as np
 import pytest
 
 from repro.data.synthetic import SyntheticLanguage
+from repro.kernels import get_backend
 from repro.models.gpt import GPT, GPTConfig
+from repro.nn.attention import MultiHeadAttention
 from repro.nn.decode import (
     KVCache,
     PagedKVCache,
@@ -58,6 +60,45 @@ def lang():
 def compiled(lang):
     model = GPT(lang.vocab_size, SMALL, rng=np.random.default_rng(0))
     return compile_model(model, "mx6")
+
+
+#: room for an 80+-token prefill beside streams sealed at 16, 32 and 64
+WIDE = GPTConfig(dim=16, num_layers=2, num_heads=2, max_len=128)
+
+
+@pytest.fixture(scope="module")
+def wide(lang):
+    model = GPT(lang.vocab_size, WIDE, rng=np.random.default_rng(1))
+    return compile_model(model, "mx6")
+
+
+def extreme_ragged_mix(model, pool, owner, lang):
+    """Windows and prepared states: one 85-row prefill among 1-row decodes.
+
+    Four decode streams hold a k1-aligned history (or none), so each
+    re-feeds exactly one row from a different sealed boundary (16, 32, 0,
+    64); one more re-feeds an open block of 4 rows.  The prefill sits
+    second, so the packed offsets (0, 1, 86, 87, 88, 89) are not
+    multiples of k1.
+    """
+    rng = np.random.default_rng(21)
+    # (window length, positions already cached before the step)
+    plan = [(17, 16), (85, 0), (33, 32), (1, 0), (65, 64), (20, 19)]
+    windows, states = [], []
+    for i, (length, warm) in enumerate(plan):
+        window = rng.integers(1, lang.vocab_size, size=length)
+        state = init_paged_decode_state(model, pool, f"{owner}{i}")
+        if warm:
+            causal_decode_step(model, window[None, :warm], state)
+        windows.append(window)
+        states.append(state)
+    return windows, states
+
+
+def free_states(states):
+    for state in states:
+        for kv in state.layers:
+            kv.free()
 
 
 def ragged_requests(lang, n, seed=3, max_new=8):
@@ -125,6 +166,38 @@ class TestPagePool:
         pool = PagePool(num_heads=2, head_dim=4, page_size=16, total_pages=4)
         pool.checkout_pages("s0", 2)
         assert pool.leaked() == {"s0": 2}
+
+    def test_many_owners_leave_no_per_owner_state(self):
+        """Serving thousands of distinct streams keeps the pool's memory flat.
+
+        Owners are unique per stream, so anything the pool keys by owner
+        must go when the owner's last page does; the per-stream high-water
+        mark must still be the largest page count any one owner held.
+        """
+        pool = PagePool(num_heads=2, head_dim=4, page_size=16, total_pages=16)
+        expected = 0
+        for i in range(1200):
+            owner = f"s{i}"
+            held = pool.checkout_pages(owner, 1 + i % 3)
+            if i % 97 == 0:  # grow in a second checkout, as decode does
+                held += pool.checkout_pages(owner, 2 + i % 5)
+            expected = max(expected, len(held))
+            if i % 2:
+                pool.release_pages(owner, held)
+            else:
+                assert pool.release_all(owner) == len(held)
+        stats = pool.stats()
+        assert expected == 9  # owner s194 grew 3 -> 9 pages
+        assert stats["per_stream_high_water"] == expected
+        assert stats["checkouts"] == stats["releases"]
+        assert stats["owners"] == 0 and pool.leaked() == {}
+        assert pool.pages_free() == pool.total_pages
+        # no dict or set on the pool still remembers a released owner
+        leftovers = {
+            name: value for name, value in vars(pool).items()
+            if isinstance(value, (dict, set)) and value
+        }
+        assert leftovers == {}
 
 
 # ----------------------------------------------------------------------
@@ -223,6 +296,69 @@ class TestPagedDecode:
         for state in states:
             for kv in state.layers:
                 kv.free()
+        assert pool.leaked() == {}
+
+    def test_packed_step_trunk_sees_only_real_rows(self, wide, lang, monkeypatch):
+        """The fused step feeds the trunk sum(len_i) rows, no padding.
+
+        Every trunk matmul (fused Q/K/V, out_proj, both FFN layers) sees
+        exactly the re-fed rows; only the LM head, on the gathered last
+        rows, sees one row per stream.
+        """
+        model = wide.model
+        pool = PagePool(WIDE.num_heads, WIDE.dim // WIDE.num_heads, 16, 64)
+        with no_grad():
+            windows, states = extreme_ragged_mix(model, pool, "s", lang)
+            lens = [len(w) - s.layers[0].sealed for w, s in zip(windows, states)]
+            backend = get_backend()
+            project_qkv = MultiHeadAttention._project_qkv
+            epilogue = backend.matmul_epilogue
+            qkv_inputs, matmul_rows = [], []
+
+            def spy_qkv(attn, x, context):
+                qkv_inputs.append(x.shape)
+                return project_qkv(attn, x, context)
+
+            def spy_epilogue(a, *args, **kwargs):
+                matmul_rows.append(a.size // a.shape[-1])
+                return epilogue(a, *args, **kwargs)
+
+            monkeypatch.setattr(MultiHeadAttention, "_project_qkv", spy_qkv)
+            monkeypatch.setattr(backend, "matmul_epilogue", spy_epilogue)
+            batched_causal_decode_step(model, windows, states)
+            monkeypatch.undo()
+            free_states(states)
+        assert lens == [1, 85, 1, 1, 1, 4]
+        rows = sum(lens)
+        assert rows < len(lens) * max(lens)  # a padded batch would differ
+        assert qkv_inputs == [(1, rows, WIDE.dim)] * WIDE.num_layers
+        assert matmul_rows == [rows] * (4 * WIDE.num_layers) + [len(lens)]
+        assert pool.leaked() == {}
+
+    def test_packed_step_extreme_ragged_mix_bit_identical(self, wide, lang):
+        """An 85-row prefill packed among 1-row decodes equals serial decode.
+
+        Two consecutive fused steps, so the second also reads the caches
+        the first one wrote through its packed slices.
+        """
+        model = wide.model
+        pool = PagePool(WIDE.num_heads, WIDE.dim // WIDE.num_heads, 16, 128)
+        with no_grad():
+            windows, serial_states = extreme_ragged_mix(model, pool, "serial", lang)
+            _, packed_states = extreme_ragged_mix(model, pool, "packed", lang)
+            for _ in range(2):
+                serial = np.stack([
+                    causal_decode_step(model, window[None], state).data[0, -1]
+                    for window, state in zip(windows, serial_states)
+                ])
+                packed = batched_causal_decode_step(model, windows, packed_states)
+                np.testing.assert_array_equal(packed, serial)
+                windows = [
+                    np.append(window, np.argmax(row))
+                    for window, row in zip(windows, serial)
+                ]
+            free_states(serial_states)
+            free_states(packed_states)
         assert pool.leaked() == {}
 
     def test_grouped_tail_requantize_bit_identical(self, compiled, lang):
