@@ -84,8 +84,8 @@ class Format(abc.ABC):
         """Elements per level-1 block along the quantization axis.
 
         ``1`` means element-wise (scalar formats), ``None`` means unknown —
-        consumers that need block alignment (the quantized KV cache) must
-        then treat the whole axis as one unsealed block.
+        consumers that need block alignment refuse the format (the
+        quantized KV caches raise ``ValueError``: nothing would ever seal).
         """
         return None
 

@@ -203,13 +203,15 @@ class MultiHeadAttention(Module):
         """Attend ``x`` to ``context`` (defaults to self-attention).
 
         ``mask`` is a boolean array broadcastable to (T_q, T_k); True
-        positions are blocked.  With ``cache`` (a
-        :class:`~repro.nn.decode.KVCache` or
-        :class:`~repro.nn.decode.CrossKV`), ``x`` holds only *new*
+        positions are blocked.  With ``cache``, ``x`` holds only *new*
         positions: K/V come from the cache's frozen quantized payloads and
         only the single-operand side of each product is quantized here —
         the incremental-decoding fast path, bit-identical to the uncached
-        computation over the full prefix.
+        computation over the full prefix.  A self-attention cache is a
+        :class:`~repro.nn.decode.PagedKVCache` (a
+        :class:`~repro.nn.decode.KVCache` is one over a private pool),
+        which receives the new K/V through its ``append``; a
+        cross-attention memory is a :class:`~repro.nn.decode.CrossKV`.
         """
         if cache is not None:
             return self._forward_cached(x, context, mask, cache)

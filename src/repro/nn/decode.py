@@ -31,13 +31,14 @@ recompute.  The argument has three parts:
 
 Bit-identity additionally requires every quantization to be idempotent
 under recomputation — stateless formats (``cache_key() is not None``),
-deterministic rounding — which :func:`supports_cached_decode` gates; the
-serving adapters fall back to full recompute otherwise.  For BDR-quantized
-models the dot products themselves are exact in float64 (products of
-low-mantissa operands), making them accumulation-order independent; purely
-FP32 models instead agree only to BLAS kernel-selection noise (~1 ulp),
-since an (1, k) @ (k, n) product may accumulate in a different order than
-one row of an (m, k) @ (k, n) product.
+deterministic rounding — and a known level-1 block size for attention
+activations, which :func:`supports_cached_decode` gates and the caches
+enforce; the serving adapters fall back to full recompute otherwise.  For
+BDR-quantized models the dot products themselves are exact in float64
+(products of low-mantissa operands), making them accumulation-order
+independent; purely FP32 models instead agree only to BLAS kernel-selection
+noise (~1 ulp), since an (1, k) @ (k, n) product may accumulate in a
+different order than one row of an (m, k) @ (k, n) product.
 """
 
 from __future__ import annotations
@@ -73,15 +74,55 @@ def _activation_format(spec: QuantSpec | None):
     return spec.activation, spec.rounding, spec.rng
 
 
-class KVCache:
-    """Quantized K/V history of one self-attention layer.
+def _cache_format(spec: QuantSpec | None):
+    """(format, rounding, rng, level-1 block) a KV cache quantizes with.
 
-    Buffers are preallocated to ``capacity`` positions and written in
-    place; the quantized K payload is stored pre-transposed (``(B, H,
-    head_dim, T)``) so the scores product consumes it without a per-step
-    transpose.  ``sealed`` tracks the block-aligned frozen prefix: entries
-    beyond it are recomputed each step (see the module docstring), so
-    :meth:`rewind` simply drops them and lets the next append overwrite.
+    Refuses what a cache cannot hold bit-identically: stochastic rounding
+    or a stateful format would requantize differently on recompute, and a
+    format without a level-1 block size never seals a block.
+    """
+    fmt, rounding, rng = _activation_format(spec)
+    if fmt is None:
+        return None, rounding, rng, 1
+    if rounding == "stochastic" or fmt.cache_key() is None:
+        raise ValueError(
+            "KV caching requires a stateless activation format with "
+            f"deterministic rounding; got {fmt!r} with rounding "
+            f"{rounding!r} (fall back to full-prefix recompute)"
+        )
+    block = fmt.block_size()
+    if block is None:
+        raise ValueError(
+            f"KV caching needs a known level-1 block size; {fmt!r} has none "
+            "(nothing seals, so no payload could ever freeze)"
+        )
+    return fmt, rounding, rng, block
+
+
+class PagedKVCache:
+    """Quantized K/V history of one self-attention layer, held in pool pages.
+
+    The memory belongs to a page pool (``repro.serve.sched.PagePool``
+    shape) whose arenas run along the sequence axis: page ``p`` is arena
+    columns ``[p * page_size, (p + 1) * page_size)`` of the pre-transposed
+    K payload ``kT`` ``(H, head_dim, columns)``, of the V payload ``v`` and
+    of the raw open-tail rows ``v_raw`` (both ``(H, columns, head_dim)``).
+    A page holds exactly one level-1 V block, so the sealed/open-tail
+    invariant maps onto pages: sealed blocks are frozen pages, and the
+    single unsealed tail block lives in the last page, its raw rows staged
+    in ``v_raw`` and requantized alone through the partial-block entry
+    point.  ``batch`` sequences fold into the arena's head axis
+    (``pool.num_heads == batch * num_heads``); no BDR block spans batch
+    rows or heads, so the fold cannot move a bit.
+
+    The page table maps positions to arena columns: a slice when the pages
+    covering a range form one ascending run (a private pool's always do,
+    so :class:`KVCache` payloads are views), otherwise an index array, so
+    every read is one gather and every write one scatter.  Pages are
+    checked out atomically before any write (growth either succeeds whole
+    or raises ``PoolExhausted`` leaving the cache untouched) and returned
+    only by :meth:`free`: rewind and reset keep the table, so a resumed
+    stream reuses its pages.
 
     The cache is keyed to the owning attention module's
     :class:`~repro.nn.quantized.QuantSpec` *instance*: re-casting the
@@ -89,245 +130,30 @@ class KVCache:
     :meth:`append` rejects a changed spec.
     """
 
-    def __init__(
-        self,
-        batch: int,
-        num_heads: int,
-        head_dim: int,
-        capacity: int,
-        spec: QuantSpec | None,
-    ):
-        self.spec = spec
-        fmt, rounding, rng = _activation_format(spec)
-        if fmt is not None and (rounding == "stochastic" or fmt.cache_key() is None):
-            raise ValueError(
-                "KV caching requires a stateless activation format with "
-                f"deterministic rounding; got {fmt!r} with rounding "
-                f"{rounding!r} (fall back to full-prefix recompute)"
-            )
-        self.fmt = fmt
-        self.rounding = rounding
-        self.rng = rng
-        #: level-1 block length along the sequence axis (None = unknown,
-        #: nothing can seal and every step recomputes the whole prefix)
-        self.block = fmt.block_size() if fmt is not None else 1
-        self.head_dim = head_dim
-        self.capacity = capacity
-        self.kT = np.zeros((batch, num_heads, head_dim, capacity))
-        self.v = np.zeros((batch, num_heads, capacity, head_dim))
-        if fmt is None or self.block == 1:
-            self.v_raw = None  # rows are position-local, no tail to requantize
-        else:
-            tail = capacity if self.block is None else self.block
-            self.v_raw = np.zeros((batch, num_heads, tail, head_dim))
-        self.length = 0
-        self.sealed = 0
-
-    # ------------------------------------------------------------------
-    @property
-    def keys_t(self) -> np.ndarray:
-        """Quantized ``K^T`` payload, shape (B, H, head_dim, length)."""
-        return self.kT[:, :, :, : self.length]
-
-    @property
-    def values(self) -> np.ndarray:
-        """Quantized ``V`` payload, shape (B, H, length, head_dim)."""
-        return self.v[:, :, : self.length]
-
-    def reset(self) -> None:
-        """Forget the history (sliding-window eviction keeps the buffers)."""
-        self.length = 0
-        self.sealed = 0
-
-    def rewind(self) -> None:
-        """Drop the unsealed suffix; the next append recomputes it."""
-        self.length = self.sealed
-
-    # ------------------------------------------------------------------
-    def _quantize_k(self, k_new: np.ndarray) -> np.ndarray:
-        """Per-position quantization along ``head_dim``."""
-        if self.fmt is None:
-            return k_new
-        if self.block is not None and self.head_dim <= self.block:
-            return quantize_partial_block(
-                k_new, self.fmt, axis=-1, rounding=self.rounding, rng=self.rng
-            )
-        return self.fmt.quantize(k_new, axis=-1, rounding=self.rounding, rng=self.rng)
-
-    def append(
-        self,
-        k_new: np.ndarray,
-        v_new: np.ndarray,
-        spec=...,
-        *,
-        k_quantized: bool = False,
-        defer_tail: bool = False,
-    ) -> None:
-        """Extend the cache with raw projections of new positions.
-
-        ``k_new``/``v_new`` are (B, H, T_new, head_dim) arrays.  K columns
-        quantize per position; V seals every completed ``block``-row span
-        (frozen until :meth:`reset`) and requantizes only the partial tail.
-
-        ``k_quantized`` marks ``k_new`` as already carrying this cache's
-        K payload quantization (the fused step quantizes every stream's
-        columns in one call — bit-identical because K blocks are
-        position-local).  ``defer_tail`` skips the final partial-tail
-        requantization; the caller owns making :func:`requantize_tails`
-        run before the V payload is next read.
-        """
-        if spec is not ... and spec is not self.spec:
-            raise ValueError(
-                "attention quant spec changed since this KVCache was built; "
-                "create a fresh decode state after re-casting a model"
-            )
-        t_new = k_new.shape[2]
-        t0 = self.length
-        if t0 + t_new > self.capacity:
-            raise ValueError(
-                f"KV cache overflow: {t0} cached + {t_new} new > "
-                f"capacity {self.capacity}"
-            )
-        kq = k_new if k_quantized else self._quantize_k(k_new)
-        self.kT[:, :, :, t0 : t0 + t_new] = np.swapaxes(kq, -1, -2)
-
-        if self.fmt is None:
-            self.v[:, :, t0 : t0 + t_new] = v_new
-            self.length = self.sealed = t0 + t_new
-            return
-        if self.block == 1:
-            self.v[:, :, t0 : t0 + t_new] = self.fmt.quantize(
-                v_new, axis=-2, rounding=self.rounding, rng=self.rng
-            )
-            self.length = self.sealed = t0 + t_new
-            return
-        if self.block is None:
-            # no block structure to exploit: requantize the whole history
-            self.v_raw[:, :, t0 : t0 + t_new] = v_new
-            self.length = t0 + t_new
-            self.v[:, :, : self.length] = self.fmt.quantize(
-                self.v_raw[:, :, : self.length],
-                axis=-2, rounding=self.rounding, rng=self.rng,
-            )
-            return
-
-        block = self.block
-        consumed = 0
-        while consumed < t_new:
-            tail_len = self.length - self.sealed
-            remaining = t_new - consumed
-            if tail_len == 0 and remaining >= block:
-                # whole blocks seal in one aligned quantization
-                whole = (remaining // block) * block
-                chunk = v_new[:, :, consumed : consumed + whole]
-                self.v[:, :, self.sealed : self.sealed + whole] = self.fmt.quantize(
-                    chunk, axis=-2, rounding=self.rounding, rng=self.rng
-                )
-                self.sealed += whole
-                self.length += whole
-                consumed += whole
-                continue
-            take = min(block - tail_len, remaining)
-            self.v_raw[:, :, tail_len : tail_len + take] = v_new[
-                :, :, consumed : consumed + take
-            ]
-            self.length += take
-            consumed += take
-            tail_len += take
-            if tail_len == block:
-                self.v[:, :, self.sealed : self.sealed + block] = (
-                    quantize_partial_block(
-                        self.v_raw, self.fmt, axis=-2,
-                        rounding=self.rounding, rng=self.rng,
-                    )
-                )
-                self.sealed += block
-        tail_len = self.length - self.sealed
-        if tail_len and not defer_tail:
-            self.v[:, :, self.sealed : self.length] = quantize_partial_block(
-                self.v_raw[:, :, :tail_len], self.fmt, axis=-2,
-                rounding=self.rounding, rng=self.rng,
-            )
-
-    def _tail_raw(self, tail_len: int) -> np.ndarray:
-        """Raw staged rows of the open tail, ``(B, H, tail_len, head_dim)``."""
-        return self.v_raw[:, :, :tail_len]
-
-    def _tail_store(self, tail_len: int, vq: np.ndarray) -> None:
-        """Write the requantized open tail back into the V payload."""
-        self.v[:, :, self.sealed : self.sealed + tail_len] = vq
-
-    # ------------------------------------------------------------------
-    def project(self, attn, source) -> tuple[np.ndarray, np.ndarray]:
-        """Append ``source``'s K/V projections; return the full payloads.
-
-        Kept for direct cache users;
-        :meth:`~repro.nn.attention.MultiHeadAttention._forward_cached` now
-        feeds self-attention caches through the fused Q/K/V projection
-        path and calls :meth:`append` itself.
-        """
-        k = attn._split_heads(attn.k_proj(source))
-        v = attn._split_heads(attn.v_proj(source))
-        self.append(k.data, v.data, spec=attn.quant)
-        return self.keys_t, self.values
-
-
-class PagedKVCache:
-    """One sequence's quantized K/V history striped across pool pages.
-
-    Drop-in for :class:`KVCache` (batch 1) except the backing memory
-    belongs to a shared page pool (``repro.serve.sched.PagePool`` shape):
-    each page holds exactly one level-1 V block of one layer, so the
-    sealed/open-tail invariant maps directly onto page granularity —
-    sealed blocks are frozen whole pages, and the single unsealed tail
-    block lives in the last page (its raw rows staged in the page's
-    ``v_raw`` area, requantized through the partial-block entry point
-    exactly as :meth:`KVCache.append` does).  Quantization inputs, call
-    shapes, and engine-call order are identical to the contiguous cache,
-    so the scattered payload is bit-for-bit the same data.
-
-    Pages are checked out atomically *before* any write (growth either
-    succeeds whole or raises ``PoolExhausted`` leaving the cache
-    untouched) and returned only by :meth:`free` — rewind and reset keep
-    the table so a resumed stream reuses its pages.
-    """
-
     def __init__(self, pool, owner: str, num_heads: int, head_dim: int,
-                 capacity: int, spec: QuantSpec | None):
+                 capacity: int, spec: QuantSpec | None, *, batch: int = 1):
         self.spec = spec
-        fmt, rounding, rng = _activation_format(spec)
-        if fmt is not None and (rounding == "stochastic" or fmt.cache_key() is None):
+        self.fmt, self.rounding, self.rng, self.block = _cache_format(spec)
+        if self.block > 1 and pool.page_size != self.block:
             raise ValueError(
-                "KV caching requires a stateless activation format with "
-                f"deterministic rounding; got {fmt!r} with rounding "
-                f"{rounding!r} (fall back to full-prefix recompute)"
-            )
-        block = fmt.block_size() if fmt is not None else 1
-        if block is None:
-            raise ValueError(
-                f"paged KV caching needs a known level-1 block size; {fmt!r} "
-                "has none (nothing seals, so pages could never freeze)"
-            )
-        if block > 1 and pool.page_size != block:
-            raise ValueError(
-                f"pool page size {pool.page_size} != format k1 block {block}; "
+                f"pool page size {pool.page_size} != format k1 block {self.block}; "
                 "a page must hold exactly one sealed block"
             )
-        if (pool.num_heads, pool.head_dim) != (num_heads, head_dim):
+        if (pool.num_heads, pool.head_dim) != (batch * num_heads, head_dim):
             raise ValueError(
                 f"pool arena is ({pool.num_heads} heads, {pool.head_dim} dim); "
-                f"cache wants ({num_heads}, {head_dim})"
+                f"cache wants ({batch} x {num_heads}, {head_dim})"
             )
-        self.fmt = fmt
-        self.rounding = rounding
-        self.rng = rng
-        self.block = block
         self.head_dim = head_dim
         self.capacity = capacity
         self.pool = pool
         self.owner = owner
         self.page_size = pool.page_size
-        self._pages: list[int] = []
+        # the arenas with the batch unfolded from the head axis (views)
+        self.kT = pool.kT.reshape(batch, num_heads, head_dim, -1)
+        self.v = pool.v.reshape(batch, num_heads, -1, head_dim)
+        self.v_raw = pool.v_raw.reshape(batch, num_heads, -1, head_dim)
+        self._set_pages([])
         self.length = 0
         self.sealed = 0
 
@@ -349,34 +175,39 @@ class PagedKVCache:
         """
         need = self.pages_for(total) - len(self._pages)
         if need > 0:
-            self._pages.extend(self.pool.checkout_pages(self.owner, need))
+            self._set_pages(self._pages + self.pool.checkout_pages(self.owner, need))
 
-    def _spans(self, start: int, stop: int):
-        """Yield (page, offset-in-page, position, count) covering [start, stop)."""
-        pos = start
-        while pos < stop:
-            page = self._pages[pos // self.page_size]
-            off = pos % self.page_size
-            take = min(self.page_size - off, stop - pos)
-            yield page, off, pos, take
-            pos += take
+    def _set_pages(self, pages: list[int]) -> None:
+        """Adopt a page table and the position -> arena column map it implies."""
+        self._pages = pages
+        table = np.asarray(pages, dtype=np.intp)
+        self._index = (table[:, None] * self.page_size + np.arange(self.page_size)).ravel()
+        # one ascending run maps every position to its column by one shift
+        self._shift = None
+        if np.all(np.diff(table) == 1):
+            self._shift = int(self._index[0]) if pages else 0
+
+    def _cols(self, start: int, stop: int):
+        """Arena columns of positions ``[start, stop)``: a slice when their
+        pages form one ascending run, otherwise an index array."""
+        if self._shift is not None:
+            return slice(start + self._shift, stop + self._shift)
+        page = start // self.page_size
+        if stop <= (page + 1) * self.page_size:  # inside one page
+            shift = (self._pages[page] - page) * self.page_size
+            return slice(start + shift, stop + shift)
+        return self._index[start:stop]
 
     # ------------------------------------------------------------------
     @property
     def keys_t(self) -> np.ndarray:
-        """Quantized ``K^T`` payload, shape (1, H, head_dim, length)."""
-        out = np.empty((1, self.pool.num_heads, self.head_dim, self.length))
-        for page, off, pos, take in self._spans(0, self.length):
-            out[0, :, :, pos : pos + take] = self.pool.kT[page][:, :, off : off + take]
-        return out
+        """Quantized ``K^T`` payload, shape (B, H, head_dim, length)."""
+        return self.kT[..., self._cols(0, self.length)]
 
     @property
     def values(self) -> np.ndarray:
-        """Quantized ``V`` payload, shape (1, H, length, head_dim)."""
-        out = np.empty((1, self.pool.num_heads, self.length, self.head_dim))
-        for page, off, pos, take in self._spans(0, self.length):
-            out[0, :, pos : pos + take] = self.pool.v[page][:, off : off + take]
-        return out
+        """Quantized ``V`` payload, shape (B, H, length, head_dim)."""
+        return self.v[:, :, self._cols(0, self.length)]
 
     def reset(self) -> None:
         """Forget the history (pages are kept for the next prefill)."""
@@ -392,37 +223,29 @@ class PagedKVCache:
         released = len(self._pages)
         if released:
             self.pool.release_pages(self.owner, self._pages)
-        self._pages = []
+        self._set_pages([])
         self.length = 0
         self.sealed = 0
         return released
 
     # ------------------------------------------------------------------
     def _quantize_k(self, k_new: np.ndarray) -> np.ndarray:
-        """Per-position quantization along ``head_dim`` (as :class:`KVCache`)."""
+        """Per-position quantization along ``head_dim``."""
         if self.fmt is None:
             return k_new
-        if self.block is not None and self.head_dim <= self.block:
+        if self.head_dim <= self.block:
             return quantize_partial_block(
                 k_new, self.fmt, axis=-1, rounding=self.rounding, rng=self.rng
             )
         return self.fmt.quantize(k_new, axis=-1, rounding=self.rounding, rng=self.rng)
 
-    def _scatter_k(self, kq_t: np.ndarray, t0: int) -> None:
-        """Write pre-transposed K columns ``[t0, t0 + t_new)`` into pages."""
-        written = 0
-        for page, off, _, take in self._spans(t0, t0 + kq_t.shape[-1]):
-            self.pool.kT[page][:, :, off : off + take] = (
-                kq_t[0, :, :, written : written + take]
-            )
-            written += take
-
-    def _scatter_v(self, vq: np.ndarray, t0: int) -> None:
-        """Write quantized V rows ``[t0, t0 + t_new)`` into pages."""
-        written = 0
-        for page, off, _, take in self._spans(t0, t0 + vq.shape[2]):
-            self.pool.v[page][:, off : off + take] = vq[0, :, written : written + take]
-            written += take
+    def _requantize_tail(self) -> None:
+        """Requantize the open tail block from its staged raw rows."""
+        cols = self._cols(self.sealed, self.length)
+        self.v[:, :, cols] = quantize_partial_block(
+            self.v_raw[:, :, cols], self.fmt, axis=-2,
+            rounding=self.rounding, rng=self.rng,
+        )
 
     def append(
         self,
@@ -435,15 +258,23 @@ class PagedKVCache:
     ) -> None:
         """Extend the cache with raw projections of new positions.
 
-        Same contract and quantization sequence as :meth:`KVCache.append`
-        (including ``k_quantized``/``defer_tail``); only the destination
-        is paged.  Page growth happens first and is all-or-nothing, so
+        ``k_new``/``v_new`` are (B, H, T_new, head_dim) arrays.  K columns
+        quantize per position; V seals every completed ``block``-row span
+        (frozen until :meth:`reset`) and requantizes only the partial tail.
+        Page growth happens first and is all-or-nothing, so
         ``PoolExhausted`` never leaves a half-appended cache.
+
+        ``k_quantized`` marks ``k_new`` as already carrying this cache's
+        K payload quantization (the fused step quantizes every stream's
+        columns in one call — bit-identical because K blocks are
+        position-local).  ``defer_tail`` skips the final partial-tail
+        requantization; the caller owns making :func:`requantize_tails`
+        run before the V payload is next read.
         """
         if spec is not ... and spec is not self.spec:
             raise ValueError(
-                "attention quant spec changed since this PagedKVCache was "
-                "built; create a fresh decode state after re-casting a model"
+                "attention quant spec changed since this KV cache was built; "
+                "create a fresh decode state after re-casting a model"
             )
         t_new = k_new.shape[2]
         t0 = self.length
@@ -453,23 +284,19 @@ class PagedKVCache:
                 f"capacity {self.capacity}"
             )
         self.reserve(t0 + t_new)
+        cols = self._cols(t0, t0 + t_new)
         kq = k_new if k_quantized else self._quantize_k(k_new)
-        self._scatter_k(np.swapaxes(kq, -1, -2), t0)
+        self.kT[..., cols] = np.swapaxes(kq, -1, -2)
 
-        if self.fmt is None:
-            self._scatter_v(np.asarray(v_new), t0)
-            self.length = self.sealed = t0 + t_new
-            return
         if self.block == 1:
-            self._scatter_v(
-                self.fmt.quantize(v_new, axis=-2, rounding=self.rounding, rng=self.rng),
-                t0,
+            # position-local V (or none): every row seals as it lands
+            self.v[:, :, cols] = v_new if self.fmt is None else self.fmt.quantize(
+                v_new, axis=-2, rounding=self.rounding, rng=self.rng
             )
             self.length = self.sealed = t0 + t_new
             return
 
         block = self.block
-        pool = self.pool
         consumed = 0
         while consumed < t_new:
             tail_len = self.length - self.sealed
@@ -479,47 +306,47 @@ class PagedKVCache:
                 # landing as one frozen page
                 whole = (remaining // block) * block
                 chunk = v_new[:, :, consumed : consumed + whole]
-                self._scatter_v(
+                self.v[:, :, self._cols(self.sealed, self.sealed + whole)] = (
                     self.fmt.quantize(
                         chunk, axis=-2, rounding=self.rounding, rng=self.rng
-                    ),
-                    self.sealed,
+                    )
                 )
                 self.sealed += whole
                 self.length += whole
                 consumed += whole
                 continue
             take = min(block - tail_len, remaining)
-            page = self._pages[self.sealed // block]
-            pool.v_raw[page][:, tail_len : tail_len + take] = v_new[
-                0, :, consumed : consumed + take
+            self.v_raw[:, :, self._cols(self.length, self.length + take)] = v_new[
+                :, :, consumed : consumed + take
             ]
             self.length += take
             consumed += take
-            tail_len += take
-            if tail_len == block:
-                pool.v[page][:, :block] = quantize_partial_block(
-                    pool.v_raw[page][None], self.fmt, axis=-2,
-                    rounding=self.rounding, rng=self.rng,
-                )[0]
+            if tail_len + take == block:
+                self._requantize_tail()
                 self.sealed += block
-        tail_len = self.length - self.sealed
-        if tail_len and not defer_tail:
-            page = self._pages[self.sealed // block]
-            pool.v[page][:, :tail_len] = quantize_partial_block(
-                pool.v_raw[page][None, :, :tail_len], self.fmt, axis=-2,
-                rounding=self.rounding, rng=self.rng,
-            )[0]
+        if self.length > self.sealed and not defer_tail:
+            self._requantize_tail()
 
-    def _tail_raw(self, tail_len: int) -> np.ndarray:
-        """Raw staged rows of the open tail, ``(1, H, tail_len, head_dim)``."""
-        page = self._pages[self.sealed // self.block]
-        return self.pool.v_raw[page][None, :, :tail_len]
 
-    def _tail_store(self, tail_len: int, vq: np.ndarray) -> None:
-        """Write the requantized open tail back into its page."""
-        page = self._pages[self.sealed // self.block]
-        self.pool.v[page][:, :tail_len] = vq[0]
+class KVCache(PagedKVCache):
+    """Quantized K/V history of ``batch`` sequences in one private arena.
+
+    A :class:`PagedKVCache` over a page pool of its own, sized to
+    ``capacity`` with the batch folded into the pool's head axis.  Its
+    pages are reserved in order at construction, so they form one
+    ascending run and :attr:`keys_t`/:attr:`values` are views of the
+    arena; :meth:`rewind` simply drops positions and lets the next append
+    overwrite them.
+    """
+
+    def __init__(self, batch: int, num_heads: int, head_dim: int,
+                 capacity: int, spec: QuantSpec | None):
+        from ..serve.sched.pages import PagePool  # repro.serve imports this module
+
+        page = _cache_format(spec)[3]
+        pool = PagePool(batch * num_heads, head_dim, page, -(-capacity // page))
+        super().__init__(pool, "kv", num_heads, head_dim, capacity, spec, batch=batch)
+        self.reserve(capacity)
 
 
 class CrossKV:
@@ -574,12 +401,15 @@ class DecodeState:
     """Positional + per-layer KV state for one incremental decode.
 
     ``layers`` holds one cache object per attention-bearing block (a
-    :class:`KVCache` for causal LMs, a :class:`DecoderLayerKV` for
-    encoder-decoder stacks); ``position`` is the number of positions the
-    caches currently cover.  :meth:`reset` implements sliding-window
-    eviction: once a window must shift, absolute positional encodings
-    change for every cached entry, so the only bit-identical option is to
-    drop the history and prefill the shifted window (buffers are reused).
+    :class:`PagedKVCache` for causal LMs — a :class:`KVCache` is one over
+    a private pool — or a :class:`DecoderLayerKV` for encoder-decoder
+    stacks); ``position`` is the number of positions the caches currently
+    cover.  Every cache knows its level-1 block size (caches refuse
+    formats without one), which :meth:`rewind` aligns to.  :meth:`reset`
+    implements sliding-window eviction: once a window must shift, absolute
+    positional encodings change for every cached entry, so the only
+    bit-identical option is to drop the history and prefill the shifted
+    window (pages are kept).
     """
 
     def __init__(self, layers: list, capacity: int):
@@ -587,7 +417,7 @@ class DecodeState:
         self.capacity = capacity
         self.position = 0
 
-    def _kv(self, layer) -> KVCache:
+    def _kv(self, layer) -> PagedKVCache:
         return layer.self_kv if isinstance(layer, DecoderLayerKV) else layer
 
     def reset(self) -> None:
@@ -606,11 +436,8 @@ class DecodeState:
         toward zero (full recompute through the cache API stays correct).
         """
         boundary = min((self._kv(layer).sealed for layer in self.layers), default=0)
-        for layer in self.layers:
-            kv = self._kv(layer)
-            if kv.block is None or boundary % max(kv.block, 1):
-                boundary = 0
-                break
+        if any(boundary % self._kv(layer).block for layer in self.layers):
+            boundary = 0
         for layer in self.layers:
             kv = self._kv(layer)
             kv.length = min(kv.length, boundary)
@@ -802,18 +629,18 @@ def requantize_tails(caches) -> None:
     """
     groups: dict[tuple, list] = {}
     for cache in caches:
-        tail_len = cache.length - cache.sealed
-        if tail_len and cache.fmt is not None and cache.block not in (None, 1):
-            raw = cache._tail_raw(tail_len)
-            groups.setdefault((tail_len, raw.shape), []).append((cache, raw))
-    for (tail_len, _), members in groups.items():
+        if cache.length > cache.sealed and cache.block > 1:
+            cols = cache._cols(cache.sealed, cache.length)
+            raw = cache.v_raw[:, :, cols]
+            groups.setdefault(raw.shape, []).append((cache, cols, raw))
+    for members in groups.values():
         head = members[0][0]
         stacked = quantize_partial_block(
-            np.stack([raw for _, raw in members]), head.fmt, axis=-2,
+            np.stack([raw for _, _, raw in members]), head.fmt, axis=-2,
             rounding=head.rounding, rng=head.rng,
         )
-        for (cache, _), vq in zip(members, stacked):
-            cache._tail_store(tail_len, vq)
+        for (cache, cols, _), vq in zip(members, stacked):
+            cache.v[:, :, cols] = vq
 
 
 def _batched_block_step(block, x: Tensor, caches, bounds, totals, spans) -> Tensor:

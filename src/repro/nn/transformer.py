@@ -88,8 +88,9 @@ class TransformerBlock(Module):
         self.drop = Dropout(dropout, rng=rng)
 
     def forward(self, x: Tensor, mask: np.ndarray | None = None, cache=None) -> Tensor:
-        """``cache`` is a :class:`~repro.nn.decode.KVCache` for incremental
-        decoding: ``x`` then carries only the new positions."""
+        """``cache`` is a :class:`~repro.nn.decode.PagedKVCache` (or a
+        :class:`~repro.nn.decode.KVCache`, one over a private pool) for
+        incremental decoding: ``x`` then carries only the new positions."""
         x = x + self.drop(self.attn(self.ln1(x), mask=mask, cache=cache))
         return x + self.drop(self.mlp(self.ln2(x)))
 

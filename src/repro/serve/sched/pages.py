@@ -3,12 +3,13 @@
 The BDR decode cache (:mod:`repro.nn.decode`) already stores V in k1-aligned
 level-1 blocks — sealed blocks are frozen forever and only the open tail
 requantizes.  A **page** here is exactly one such block of one attention
-layer of one sequence: ``(num_heads, page_size, head_dim)`` V rows plus the
-matching pre-transposed K columns and a raw-tail staging area.  Because a
-sealed block's payload never changes, pages need no copy-on-write: a
-sequence's history is fully described by its page table, reclamation is
-"return the page numbers", and a freshly checked-out page may hold stale
-bytes (readers only ever touch the rows a cache has written).
+layer of one sequence: ``page_size`` consecutive columns of arenas laid out
+along the sequence axis, holding V rows, the matching pre-transposed K
+columns and a raw-tail staging area.  Because a sealed block's payload
+never changes, pages need no copy-on-write: a sequence's history is fully
+described by its page table, reclamation is "return the page numbers", and
+a freshly checked-out page may hold stale bytes (readers only ever touch
+the rows a cache has written).
 
 The pool is the *only* shared-memory object in the continuous-batching
 scheduler, so it owns its own lock: ``stats()`` snapshots are safe to take
@@ -36,11 +37,14 @@ class PoolExhausted(ServingError):
 class PagePool:
     """Preallocated KV page arenas plus per-owner checkout accounting.
 
-    ``kT`` holds pre-transposed K columns ``(pages, H, head_dim, page_size)``,
-    ``v`` the quantized V payloads ``(pages, H, page_size, head_dim)``, and
-    ``v_raw`` the raw open-tail rows awaiting requantization.  Owners are
-    opaque strings (one per decode stream); ``release_all(owner)`` is the
-    eviction path — O(pages held), no data movement.
+    The arenas run along the sequence axis, page ``p`` being columns
+    ``[p * page_size, (p + 1) * page_size)``: ``kT`` holds pre-transposed K
+    ``(H, head_dim, pages * page_size)``, ``v`` the quantized V payloads
+    and ``v_raw`` the raw open-tail rows awaiting requantization (both
+    ``(H, pages * page_size, head_dim)``), so a cache whose pages form one
+    ascending run reads its history as a view.  Owners are opaque strings
+    (one per decode stream); ``release_all(owner)`` is the eviction path —
+    O(pages held), no data movement.
     """
 
     def __init__(self, num_heads: int, head_dim: int, page_size: int, total_pages: int):
@@ -53,9 +57,10 @@ class PagePool:
         self.head_dim = head_dim
         self.page_size = page_size
         self.total_pages = total_pages
-        self.kT = np.zeros((total_pages, num_heads, head_dim, page_size))
-        self.v = np.zeros((total_pages, num_heads, page_size, head_dim))
-        self.v_raw = np.zeros((total_pages, num_heads, page_size, head_dim))
+        columns = total_pages * page_size
+        self.kT = np.zeros((num_heads, head_dim, columns))
+        self.v = np.zeros((num_heads, columns, head_dim))
+        self.v_raw = np.zeros((num_heads, columns, head_dim))
         self._lock = threading.Lock()
         # LIFO free list: recently released pages are likely cache-warm
         self._free = list(range(total_pages - 1, -1, -1))

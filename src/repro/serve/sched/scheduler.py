@@ -145,7 +145,7 @@ class ContinuousScheduler:
             spec = block.attn.quant
             fmt = spec.activation if spec is not None else None
             k1 = fmt.block_size() if fmt is not None else 1
-            if k1 is not None and k1 > 1:
+            if k1 > 1:  # supports_cached_decode refused unknown sizes
                 k1s.add(k1)
         if len(k1s) > 1:
             raise ValueError(
@@ -200,7 +200,9 @@ class ContinuousScheduler:
         Prompts needing the sliding-window fallback (prompt + budget
         beyond the model window) stay on the classic path: window shifts
         change absolute positions for every cached entry, which pages
-        cannot express without a wholesale rebuild.
+        cannot express without a wholesale rebuild.  So do budgets below
+        one token: a stream's window has room for its budget only, and the
+        classic path already answers them with no tokens.
         """
         prompt = payload.get("prompt")
         if prompt is None:
@@ -209,7 +211,7 @@ class ContinuousScheduler:
         if prompt.ndim != 1 or prompt.shape[0] == 0:
             return False
         max_new = int(payload.get("max_new_tokens", 16))
-        return prompt.shape[0] + max_new <= self.model.config.max_len
+        return max_new >= 1 and prompt.shape[0] + max_new <= self.model.config.max_len
 
     def submit(self, job) -> None:
         """Enqueue an admitted-by-the-session job as a decode stream."""

@@ -615,8 +615,12 @@ class InferenceSession:
                 self.metrics.record_event("workers_replaced")
                 replacement = _WorkerState(state.slot)
                 with self._cv:
+                    if self._closing:
+                        return
+                    # started before it is published, so close() never
+                    # joins a thread that has not started
+                    self._start_worker(replacement)
                     self._worker_states[state.slot] = replacement
-                self._start_worker(replacement)
 
     # ------------------------------------------------------------------
     # Lifecycle

@@ -10,12 +10,14 @@ import numpy as np
 import pytest
 
 from repro.formats import get_format
+from repro.formats.base import Format
 from repro.kernels import use_backend
 from repro.nn.attention import MultiHeadAttention, causal_mask
 from repro.nn.decode import (
     CrossKV,
     DecodeState,
     KVCache,
+    PagedKVCache,
     supports_cached_decode,
 )
 from repro.nn.quantized import (
@@ -24,8 +26,11 @@ from repro.nn.quantized import (
     quantized_bmm_prequant,
 )
 from repro.nn.tensor import Tensor, no_grad
+from repro.serve.sched import PagePool
 
 BACKENDS = ("numpy", "reference")
+#: the append patterns every cache layout is checked over
+APPEND_PATTERNS = [[1] * 37, [10, 1, 1, 5, 16, 3, 1], [37], [16, 16, 5]]
 
 
 def make_cache(spec, batch=2, heads=2, head_dim=12, capacity=48):
@@ -41,7 +46,7 @@ def append_pattern(cache, k, v, sizes):
 
 @pytest.mark.parametrize("backend", BACKENDS)
 @pytest.mark.parametrize("fmt_name", ["mx6", "mx9", "mx4"])
-@pytest.mark.parametrize("sizes", [[1] * 37, [10, 1, 1, 5, 16, 3, 1], [37], [16, 16, 5]])
+@pytest.mark.parametrize("sizes", APPEND_PATTERNS)
 def test_cache_payloads_match_full_quantize(backend, fmt_name, sizes):
     """Sealed blocks + requantized tail == one full-tensor quantization."""
     spec = QuantSpec.inference(fmt_name, activation=fmt_name)
@@ -59,6 +64,72 @@ def test_cache_payloads_match_full_quantize(backend, fmt_name, sizes):
     np.testing.assert_array_equal(cache.values, expect_v)
     assert cache.length == total
     assert cache.sealed == (total // fmt.block_size()) * fmt.block_size()
+
+
+@pytest.mark.parametrize("fmt_name", ["mx6", "mx9"])
+@pytest.mark.parametrize("sizes", APPEND_PATTERNS)
+def test_batched_cache_equals_stacked_single_caches(fmt_name, sizes):
+    """The batch folds into the arena's head axis without moving a bit."""
+    spec = QuantSpec.inference(fmt_name, activation=fmt_name)
+    rng = np.random.default_rng(17)
+    total = sum(sizes)
+    k = rng.normal(size=(3, 2, total, 12))
+    v = rng.normal(size=(3, 2, total, 12))
+    batched = make_cache(spec, batch=3)
+    append_pattern(batched, k, v, sizes)
+    singles = [make_cache(spec, batch=1) for _ in range(3)]
+    for i, single in enumerate(singles):
+        append_pattern(single, k[i : i + 1], v[i : i + 1], sizes)
+    np.testing.assert_array_equal(
+        batched.keys_t, np.concatenate([s.keys_t for s in singles])
+    )
+    np.testing.assert_array_equal(
+        batched.values, np.concatenate([s.values for s in singles])
+    )
+    assert all(
+        (s.length, s.sealed) == (batched.length, batched.sealed) for s in singles
+    )
+
+
+def test_cache_payloads_are_views_of_the_arena():
+    """A private pool's pages form one ascending run: reads copy nothing."""
+    spec = QuantSpec.inference("mx6", activation="mx6")
+    cache = make_cache(spec)
+    rng = np.random.default_rng(4)
+    k = rng.normal(size=(2, 2, 37, 12))
+    v = rng.normal(size=(2, 2, 37, 12))
+    append_pattern(cache, k, v, [10, 20, 7])  # crosses into the third page
+    assert cache.pages == 3
+    assert np.shares_memory(cache.keys_t, cache.pool.kT)
+    assert np.shares_memory(cache.values, cache.pool.v)
+
+
+class _Unblocked(Format):
+    """Stateless and deterministic, but with no level-1 block size."""
+
+    name = "unblocked"
+
+    def quantize(self, x, axis=-1, rounding="nearest", rng=None):
+        return np.asarray(x, dtype=np.float64).copy()
+
+    @property
+    def bits_per_element(self) -> float:
+        return 32.0
+
+    def cache_key(self):
+        return ("unblocked",)
+
+
+def test_caches_reject_formats_without_block_size():
+    fmt = _Unblocked()
+    assert fmt.cache_key() is not None and fmt.block_size() is None
+    spec = QuantSpec.inference(None, activation=fmt)
+    with pytest.raises(ValueError, match="block size"):
+        make_cache(spec)
+    pool = PagePool(num_heads=2, head_dim=12, page_size=16, total_pages=4)
+    with pytest.raises(ValueError, match="block size"):
+        PagedKVCache(pool, "s0", 2, 12, 48, spec)
+    assert pool.leaked() == {}
 
 
 def test_cache_fp32_passthrough():

@@ -201,7 +201,7 @@ class TestPagePool:
 
 
 # ----------------------------------------------------------------------
-# PagedKVCache: drop-in bit-identity with the contiguous KVCache
+# PagedKVCache in a shared pool: bit-identity with serial decode and KVCache
 # ----------------------------------------------------------------------
 class TestPagedDecode:
     def test_serial_paged_decode_bit_identical(self, compiled, lang):
@@ -359,6 +359,58 @@ class TestPagedDecode:
                 ]
             free_states(serial_states)
             free_states(packed_states)
+        assert pool.leaked() == {}
+
+    def test_scattered_page_table_matches_private_cache(self, compiled):
+        """A page table that is not one ascending run reads and writes
+        through index arrays; the payloads still equal a private-pool
+        ``KVCache`` fed the same appends, across rewind and grouped tail
+        requantization."""
+        spec = compiled.model.blocks[0].attn.quant
+        heads, head_dim = SMALL.num_heads, SMALL.dim // SMALL.num_heads
+        pool = PagePool(heads, head_dim, 16, total_pages=8)
+        paged = PagedKVCache(pool, "a", heads, head_dim, 64, spec)
+        other = PagedKVCache(pool, "b", heads, head_dim, 64, spec)
+        for total in (16, 32, 48, 64):  # two owners' checkouts interleave
+            paged.reserve(total)
+            other.reserve(total)
+        assert np.any(np.diff(paged._pages) != 1)
+        private = KVCache(1, heads, head_dim, 64, spec)
+        rng = np.random.default_rng(19)
+        k = rng.normal(size=(1, heads, 64, head_dim))
+        v = rng.normal(size=(1, heads, 64, head_dim))
+
+        def feed(start, sizes, defer):
+            for size in sizes:
+                for cache in (paged, private):
+                    cache.append(
+                        k[:, :, start : start + size],
+                        v[:, :, start : start + size],
+                        spec=spec,
+                        defer_tail=defer,
+                    )
+                if defer:
+                    requantize_tails([paged, private])
+                start += size
+
+        def assert_same():
+            assert (paged.length, paged.sealed) == (private.length, private.sealed)
+            np.testing.assert_array_equal(paged.keys_t, private.keys_t)
+            np.testing.assert_array_equal(paged.values, private.values)
+
+        with no_grad():
+            feed(0, [5, 20, 1], defer=False)  # 26 rows: one sealed page + tail
+            assert_same()
+            feed(26, [33, 2], defer=True)  # whole blocks span scattered pages
+            assert_same()
+            for cache in (paged, private):
+                cache.rewind()
+            assert_same()
+            feed(paged.length, [3, 1], defer=True)
+            assert_same()
+        assert not np.shares_memory(paged.keys_t, pool.kT)  # a gather
+        paged.free()
+        other.free()
         assert pool.leaked() == {}
 
     def test_grouped_tail_requantize_bit_identical(self, compiled, lang):
@@ -583,6 +635,23 @@ class TestContinuousScheduler:
             sched = session.summary()["sched"]
         assert len(long["tokens"]) == 30
         assert sched["completed"] == 0  # neither request rode the scheduler
+
+    def test_zero_budget_request_does_not_fail_its_step_mates(self, compiled, lang):
+        """A ``max_new_tokens=0`` request rides the classic path and returns
+        no tokens; the streams it would have shared a step with decode
+        exactly as serial ``generate`` does."""
+        requests = ragged_requests(lang, 4, seed=23)
+        requests.insert(2, {"task": "generate", "prompt": [5, 6, 7], "max_new_tokens": 0})
+        truth = serial_truth(compiled, requests)
+        assert truth[2] == []
+        cfg = SessionConfig(format="mx6", scheduler={"max_streams": 8})
+        with compiled.session(cfg) as session:
+            futures = [session.submit(r) for r in requests]
+            tokens = [f.result(timeout=60)["tokens"] for f in futures]
+            summary = session.summary()
+        assert tokens == truth
+        assert summary["reliability"]["errors"] == 0
+        assert summary["sched"]["completed"] == 4
 
     def test_close_fails_waiting_streams(self, compiled, lang):
         from repro.serve import SessionClosed
