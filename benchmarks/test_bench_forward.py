@@ -1,10 +1,11 @@
 """Forward-path throughput benchmarks (the ``bench-forward`` regression gate).
 
 Four benchmarks time one batched ``model.forward`` pass for GPT-S and the
-MoE variant, each under the pre-residency schedule
-(:func:`~repro.nn.residency.fusion_disabled` — the historical execution,
-kernels included) and under quantized activation residency + the fused
-projection/epilogue pipeline.  ``benchmarks/check_regression.py`` gates
+MoE variant, each under the unfused schedule
+(:func:`~repro.nn.residency.fusion_disabled` — per-consumer quantization,
+separate projections and Tensor-op attention, over today's kernels) and
+under quantized activation residency + the fused projection/epilogue
+pipeline.  ``benchmarks/check_regression.py`` gates
 every median against the committed ``benchmarks/BENCH_forward.json``
 baseline.
 
@@ -14,7 +15,7 @@ The headline assertion uses the same shared measurement protocol as
 baseline/fused passes over the serve bench's batched score stream, with
 the median per-repeat ratio as the drift-cancelling estimator.  It
 requires the fused schedule to sustain >= 1.5x (GPT-S) and >= 1.3x (MoE)
-the pre-residency throughput, and asserts the *structural* win alongside
+the unfused throughput, and asserts the *structural* win alongside
 the wall-clock one: a steady-state fused forward enters the quantization
 engine exactly once per unique activation (two consecutive passes cost
 the same), and never more often than the unfused schedule.
@@ -77,7 +78,7 @@ def _run_unfused(model, tokens):
 
 
 def test_forward_gpt_unfused(benchmark, gpt_setup):
-    """The pre-residency schedule: per-consumer quantization, unfused ops."""
+    """The unfused schedule: per-consumer quantization, unfused ops."""
     model, tokens = gpt_setup
     out = benchmark.pedantic(lambda: _run_unfused(model, tokens), rounds=5, iterations=2)
     assert out.shape == (BATCH, SEQ_LEN, model.vocab_size)
@@ -120,7 +121,7 @@ def test_forward_quantize_call_residency(model_cls):
     Two consecutive fused passes over the same geometry must cost the
     same number of quantization-engine entries (no warm-up work leaking
     into steady state, weights never requantized), and the fused schedule
-    must enter the engine strictly fewer times than the pre-residency
+    must enter the engine strictly fewer times than the unfused
     schedule, which requantizes the same activation once per consumer.
     """
     model, tokens = _compiled_model(model_cls)
@@ -145,7 +146,7 @@ def test_forward_quantize_call_residency(model_cls):
 
 
 def test_forward_speedup_headline():
-    """Fused batched forward >= 1.5x (GPT-S) and >= 1.3x (MoE) pre-residency.
+    """Fused batched forward >= 1.5x (GPT-S) and >= 1.3x (MoE) unfused.
 
     Shared protocol with ``python -m repro bench-forward``
     (:func:`repro.serve.bench.measure_forward_speedup`), so the gated
@@ -163,7 +164,7 @@ def test_forward_speedup_headline():
         result = measure_forward_speedup(model, fmt=FORMAT, requests=48, repeats=8)
         assert result["speedup"] >= floor, (
             f"{result['family']} fused schedule only {result['speedup']:.2f}x "
-            f"the pre-residency baseline ({result['fused_rps']:.0f} vs "
+            f"the unfused baseline ({result['fused_rps']:.0f} vs "
             f"{result['baseline_rps']:.0f} req/s); the residency headline "
             f"requires >= {floor}x"
         )

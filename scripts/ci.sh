@@ -42,7 +42,7 @@ python -m repro bench-serve --quick > /dev/null
 python -m repro bench-serve --continuous --quick > /dev/null
 python -m repro bench-decode --quick > /dev/null
 python -m repro bench-forward --quick > /dev/null
-# the pre-residency schedule must stay a working end-to-end configuration
+# the unfused schedule must stay a working end-to-end configuration
 REPRO_FUSION=0 python -m repro bench-forward --quick > /dev/null
 
 echo "=== [5/6] seeded chaos smoke ==="

@@ -285,7 +285,8 @@ def _cmd_bench_serve(argv: list[str]) -> int:
     parser.add_argument("--requests", type=int, default=64)
     parser.add_argument("--max-batch", type=int, default=16)
     parser.add_argument("--repeats", type=int, default=3,
-                        help="timing repeats; the best (max rps) is reported")
+                        help="timing repeats; the best (max rps) is reported "
+                        "(--continuous: median per-repeat speedup)")
     parser.add_argument("--continuous", action="store_true",
                         help="benchmark continuous batching instead: lockstep "
                         "generate vs the paged-KV scheduler on ragged prompts")
@@ -460,7 +461,7 @@ def _cmd_bench_decode(argv: list[str]) -> int:
 
 
 def _cmd_bench_forward(argv: list[str]) -> int:
-    """Batched forward throughput: pre-residency vs fused schedule."""
+    """Batched forward throughput: unfused vs fused schedule."""
     import numpy as np
 
     from .serve.bench import measure_forward_speedup
@@ -468,7 +469,8 @@ def _cmd_bench_forward(argv: list[str]) -> int:
     parser = argparse.ArgumentParser(
         prog="repro bench-forward",
         description="Benchmark the batched scored-forward path: the "
-        "pre-residency schedule (REPRO_FUSION=0 semantics) vs quantized "
+        "unfused schedule (fusion_disabled(): per-consumer quantization, "
+        "separate projections, Tensor-op attention) vs quantized "
         "activation residency + the fused projection/epilogue pipeline.",
     )
     parser.add_argument("--model", default="GPT-S", help="GPT ladder member (default GPT-S)")
@@ -493,7 +495,7 @@ def _cmd_bench_forward(argv: list[str]) -> int:
 
     def report(result):
         fam = result["family"]
-        print(f"[{fam}] pre-residency  : {result['baseline_rps']:10.1f} req/s  "
+        print(f"[{fam}] unfused        : {result['baseline_rps']:10.1f} req/s  "
               f"({result['baseline_quant_calls_per_request']:.1f} quantize calls/req)")
         print(f"[{fam}] fused/resident : {result['fused_rps']:10.1f} req/s  "
               f"({result['fused_quant_calls_per_request']:.1f} quantize calls/req)")

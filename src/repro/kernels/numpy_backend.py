@@ -43,7 +43,6 @@ from __future__ import annotations
 import numpy as np
 
 from ..core.rounding import apply_rounding
-from ..core.runtime_env import fusion_env_enabled
 from ..core.scaling import amax_scale, exponent_range
 from .base import KernelBackend, _SQRT_2_OVER_PI, check_epilogue
 from .plan import checkout_scratch, get_plan, release_scratch
@@ -65,27 +64,6 @@ _SMALL_SIZE = 8192
 #: which measures 25-40% faster than one full-array pass once the
 #: buffers spill.  Calls near the target run whole.
 _TILE_ELEMS = 24576
-
-#: When True, pow2 kernels run the *pre-residency* execution strategy
-#: (separate scratch and output buffers, maximum/minimum clamp pair, no
-#: tiling) — bit-identical values, historical schedule.  Controlled by
-#: the fusion switchboard (:func:`repro.nn.residency.configure_fusion`)
-#: so that ``REPRO_FUSION=0`` benchmarks compare the fused schedule
-#: against exactly what the pre-residency code executed, kernels
-#: included; the process-start default shares the switchboard's parser.
-_LEGACY_SCHEDULE = not fusion_env_enabled()
-
-
-def set_legacy_schedule(enabled: bool) -> bool:
-    """Select the pre-residency kernel schedule; returns the previous flag."""
-    global _LEGACY_SCHEDULE
-    previous = _LEGACY_SCHEDULE
-    _LEGACY_SCHEDULE = bool(enabled)
-    return previous
-
-
-def legacy_schedule() -> bool:
-    return _LEGACY_SCHEDULE
 
 #: Adding then subtracting 1.5 * 2^52 rounds float64 to the nearest integer
 #: (ties to even) using two adds instead of a libm rint pass.
@@ -121,19 +99,14 @@ class NumpyBackend(KernelBackend):
                     return _REFERENCE.quantize(
                         x, config, axis, rounding, rng, scale_override, detailed
                     )
-            if (
-                not _LEGACY_SCHEDULE
-                and scale_override is None
-                and x.size > 2 * _TILE_ELEMS
-                and x.ndim > 1
-            ):
+            if scale_override is None and x.size > 2 * _TILE_ELEMS and x.ndim > 1:
                 tiled = self._pow2_tiled(x, config, axis, rounding, rng)
                 if tiled is not None:
                     return tiled
 
         plan = get_plan(x.shape, axis, config.k1, config.k2, x.dtype)
         blocked = plan.block(x)
-        if config.s_type == "pow2" and not _LEGACY_SCHEDULE:
+        if config.s_type == "pow2":
             # single-buffer: the freshly allocated output array doubles as
             # the working scratch (|x|, quotients, codes, values in turn),
             # shrinking the kernel's cache footprint to input + output
@@ -142,15 +115,6 @@ class NumpyBackend(KernelBackend):
                                      plan.sub_shape, config, rounding, rng)
             except _NonFiniteInput:
                 values = None
-        elif config.s_type == "pow2":
-            work = plan.checkout()
-            try:
-                values = _pow2_fused_legacy(blocked, work, plan.sub_shape,
-                                            config, rounding, rng)
-            except _NonFiniteInput:
-                values = None
-            finally:
-                plan.release(work)
         else:
             work = plan.checkout()
             try:
@@ -284,8 +248,7 @@ def _pow2_noplan(x, config, axis, rounding, rng):
     blocked = padded.reshape(lead + (blocks, config.k1))
     work = np.empty(blocked.shape, dtype=np.float64)
     sub_shape = lead + (blocks, config.k1 // config.k2, config.k2)
-    body = _pow2_fused_legacy if _LEGACY_SCHEDULE else _pow2_fused
-    values = body(blocked, work, sub_shape, config, rounding, rng)
+    values = _pow2_fused(blocked, work, sub_shape, config, rounding, rng)
     flat = values.reshape(lead + (n + pad,))
     if pad:
         flat = flat[..., :n]
@@ -422,50 +385,6 @@ def _round_clip_inplace(buf, qmax, rounding, rng):
     else:
         _round_inplace(buf, rounding, rng)
         np.clip(buf, -qmax, qmax, out=buf)
-
-
-def _pow2_fused_legacy(blocked, work, sub_shape, config, rounding, rng):
-    """The pre-residency pow2 body: plan scratch + separate output buffer.
-
-    Bit-identical to :func:`_pow2_fused` (same math on the same blocks);
-    kept verbatim so the ``REPRO_FUSION=0`` baseline reproduces the
-    historical execution strategy the fused schedule is benchmarked
-    against.
-    """
-    lo, hi = exponent_range(config.d1)
-    blocked_shape = blocked.shape
-    np.abs(blocked, out=work)
-
-    if config.ss_type == "pow2":
-        sub_exp = _floor_exponents(_last_axis_max(work.reshape(sub_shape)))
-        raw_block = _last_axis_max(sub_exp)
-        if raw_block.size and int(raw_block.max()) >= 1024:
-            raise _NonFiniteInput
-        exp = np.minimum(np.maximum(raw_block, lo), hi)
-        np.maximum(sub_exp, lo, out=sub_exp)
-        np.minimum(sub_exp, hi, out=sub_exp)
-        e = np.maximum(sub_exp, exp[..., None] - config.beta)
-        e -= config.m - 1
-        step, inv_step = _pow2_and_reciprocal(e)
-        _mul_subscale(blocked.reshape(sub_shape), inv_step,
-                      work.reshape(sub_shape))
-    else:
-        raw = _floor_exponents(_last_axis_max(work))
-        if raw.size and int(raw.max()) >= 1024:
-            raise _NonFiniteInput
-        exp = np.minimum(np.maximum(raw, lo), hi)
-        step, inv_step = _pow2_and_reciprocal(exp - (config.m - 1))
-        _mul_subscale(blocked, inv_step, work)
-
-    _round_inplace(work, rounding, rng)
-    np.maximum(work, -config.qmax, out=work)
-    np.minimum(work, config.qmax, out=work)
-    if config.ss_type == "pow2":
-        values = np.empty(sub_shape)
-        _mul_subscale(work.reshape(sub_shape), step, values)
-        return values.reshape(blocked_shape)
-    values = np.empty(blocked_shape)
-    return _mul_subscale(work, step, values)
 
 
 def _int_fused(blocked, work, config, rounding, rng, scale_override):

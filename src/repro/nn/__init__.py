@@ -32,7 +32,6 @@ from .residency import (
     QuantizedActivation,
     acquire,
     configure_fusion,
-    fusion_configured,
     fusion_disabled,
     fusion_enabled,
     quantize_call_count,
@@ -76,7 +75,6 @@ __all__ = [
     "QuantizedActivation",
     "acquire",
     "configure_fusion",
-    "fusion_configured",
     "fusion_disabled",
     "fusion_enabled",
     "quantize_call_count",

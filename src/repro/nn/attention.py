@@ -9,7 +9,7 @@ Q/K/V projections collapse into one concatenated-weight matmul over the
 *resident* quantized input payload, and the element-wise pipeline between
 the two attention products (scale → mask → softmax → vector precision)
 executes as in-place ufuncs on the raw score array instead of a chain of
-autograd Tensor ops.  Both stages replay the exact unfused operation
+autograd Tensor ops.  Both replay the exact unfused operation
 sequence, so outputs are bit-identical; training always takes the unfused
 autograd path.
 """

@@ -212,7 +212,7 @@ class LayerNorm(Module):
     def forward(self, x: Tensor) -> Tensor:
         if (
             self.vector_precision == VectorPrecision.FP32
-            and fusion_enabled("epilogue")
+            and fusion_enabled()
             and not is_grad_enabled()
         ):
             # inference: replay F.layer_norm's exact ufunc sequence on the

@@ -235,7 +235,7 @@ def quantized_matmul(
     """``a @ w`` with Figure 8 quantization; ``a: (..., K)``, ``w: (K, N)``.
 
     Forward: ``Q(a) @ Q(w)`` with both operands quantized along ``K``.
-    ``Q(a)`` is *resident*: under the residency fusion stage the payload
+    ``Q(a)`` is *resident*: under the fused schedule the payload
     is memoized on ``a``'s data version (leaf tensors, stateless formats,
     deterministic rounding — every activation under ``no_grad``), so
     sibling consumers of the same activation share one quantization.
@@ -267,7 +267,7 @@ def quantized_matmul(
             "epilogue fusion serves the inference path; run under no_grad()"
         )
 
-    if fusion_enabled("residency"):
+    if fusion_enabled():
         a_q = _memo_quantize(spec, "activation", a, axis=-1)
     else:
         a_q = spec.quantize("activation", a.data, axis=-1)

@@ -17,39 +17,40 @@ engages where it is provably bit-identical — leaf tensors (every
 activation under ``no_grad``), stateless formats, deterministic rounding;
 all other combinations quantize exactly as before.
 
-The module also owns the **fusion switchboard**.  Three independently
-toggleable stages build on residency:
+The module also owns the **fusion switch**: one process-wide flag that
+turns on, together, the schedule changes built on residency:
 
-* ``residency`` — share quantized activation payloads across consumers;
-* ``epilogue`` — run bias-add / GELU inside the kernel's output loop
+* sharing quantized activation payloads across consumers;
+* running bias-add / GELU inside the kernel's output loop
   (:meth:`repro.kernels.base.KernelBackend.matmul_epilogue`) instead of
-  as separate full-array passes, and run the attention pipeline
+  as separate full-array passes, and the attention pipeline
   (scale → mask → softmax → context) on raw arrays under ``no_grad``;
-* ``projections`` — fuse sibling projections that consume the same
-  activation (attention Q/K/V, MoE expert ``fc1``\\ s) into one
+* fusing sibling projections that consume the same activation
+  (attention Q/K/V, MoE expert ``fc1``\\ s) into one
   concatenated-weight matmul.
 
-``REPRO_FUSION=0`` (or ``off``/``false``) disables all three at process
-start, restoring the exact pre-residency execution; tests and benchmarks
-toggle stages programmatically via :func:`configure_fusion` /
-:func:`fusion_disabled`.  Every stage is bit-identical to its unfused
-counterpart for the formats it engages on, so the toggle changes
-*schedules*, never values.
+``REPRO_FUSION=0`` (or ``off``/``false``/``no``) starts the process with
+the flag off, on the unfused schedule: separate projections, Tensor-op
+attention and the plain scorer, the paths the parity suites hold the
+fused schedule to bit for bit.  Tests and benchmarks toggle it with
+:func:`configure_fusion` / :func:`fusion_disabled`.  Every fused path is
+bit-identical to its unfused counterpart for the formats it engages on,
+so the flag changes *schedules*, never values.
 """
 
 from __future__ import annotations
 
 import contextlib
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from ..core.quantize import quantize_call_count, reset_quantize_calls
-from ..core.runtime_env import FUSION_ENV_VAR
 from .tensor import Tensor, is_grad_enabled
 
 # NOTE: :mod:`repro.nn.quantized` imports this module for the fusion
-# switchboard, so ``memo_quantize`` is imported lazily inside the two
+# switch, so ``memo_quantize`` is imported lazily inside the two
 # functions that need it (neither is on a per-op hot path: ``acquire``
 # runs once per tensor role, ``FusedWeightCache.payload`` once per weight
 # version).
@@ -61,7 +62,6 @@ __all__ = [
     "fusion_enabled",
     "configure_fusion",
     "fusion_disabled",
-    "fusion_configured",
     "supports_epilogue",
     "supports_fused_projection",
     "quantize_call_count",
@@ -69,82 +69,41 @@ __all__ = [
     "FUSION_ENV_VAR",
 ]
 
-_STAGES = ("residency", "epilogue", "projections")
+#: Environment variable that sets the process-start default of the fusion
+#: switch: ``0`` / ``off`` / ``false`` / ``no`` start on the unfused
+#: schedule; anything else (or unset) starts fused.
+FUSION_ENV_VAR = "REPRO_FUSION"
 
-# process-wide stage flags (serving worker threads share one schedule);
-# the dict lives in the tensor module — the lowest layer that consults a
-# flag — so no import cycle forms, but this module owns the public API
-from .tensor import _FUSION_FLAGS as _FLAGS
-
-
-def fusion_enabled(stage: str = "epilogue") -> bool:
-    """Whether one fusion stage (``residency``/``epilogue``/``projections``)
-    is currently enabled."""
-    try:
-        return _FLAGS[stage]
-    except KeyError:
-        raise ValueError(f"unknown fusion stage {stage!r}; stages: {_STAGES}") from None
+# process-wide: serving worker threads share one schedule
+_ENABLED = os.environ.get(FUSION_ENV_VAR, "1").strip().lower() not in (
+    "0", "off", "false", "no"
+)
 
 
-def _sync_kernel_schedule() -> None:
-    """Propagate the epilogue stage into the kernel execution strategy.
+def fusion_enabled() -> bool:
+    """Whether the fused inference schedule is on."""
+    return _ENABLED
 
-    The fast backend's single-buffer/tiled pow2 schedule is part of this
-    fusion work; with the epilogue stage off it reverts to the historical
-    two-buffer body so a ``REPRO_FUSION=0`` baseline reproduces the
-    pre-residency execution end to end (values identical either way).
+
+def configure_fusion(enabled: bool) -> bool:
+    """Turn the fused schedule on or off; returns the previous setting.
+
+    Process-wide — a serving session's workers all observe the change.
     """
-    from ..kernels.numpy_backend import set_legacy_schedule
-
-    set_legacy_schedule(not _FLAGS["epilogue"])
-
-
-def configure_fusion(
-    enabled: bool | None = None,
-    *,
-    residency: bool | None = None,
-    epilogue: bool | None = None,
-    projections: bool | None = None,
-) -> dict:
-    """Set fusion stages; returns the previous flags (for restoring).
-
-    ``enabled`` sets every stage at once; the keyword flags override
-    individual stages.  Process-wide — a serving session's workers all
-    observe the change.
-    """
-    previous = dict(_FLAGS)
-    if enabled is not None:
-        for stage in _STAGES:
-            _FLAGS[stage] = bool(enabled)
-    for stage, value in (
-        ("residency", residency), ("epilogue", epilogue), ("projections", projections)
-    ):
-        if value is not None:
-            _FLAGS[stage] = bool(value)
-    _sync_kernel_schedule()
+    global _ENABLED
+    previous = _ENABLED
+    _ENABLED = bool(enabled)
     return previous
 
 
 @contextlib.contextmanager
 def fusion_disabled():
-    """Run with every fusion stage off — the pre-residency schedule."""
+    """Run on the unfused schedule, restoring the previous setting after."""
     previous = configure_fusion(False)
     try:
         yield
     finally:
-        _FLAGS.update(previous)
-        _sync_kernel_schedule()
-
-
-@contextlib.contextmanager
-def fusion_configured(**stages):
-    """Context-managed :func:`configure_fusion` (keyword stages only)."""
-    previous = configure_fusion(**stages)
-    try:
-        yield
-    finally:
-        _FLAGS.update(previous)
-        _sync_kernel_schedule()
+        configure_fusion(previous)
 
 
 # ----------------------------------------------------------------------
@@ -213,7 +172,7 @@ def supports_epilogue(spec) -> bool:
     """
     if spec is None or is_grad_enabled():
         return False
-    return _FLAGS["epilogue"]
+    return _ENABLED
 
 
 def _pow2_scaled(fmt) -> bool:
@@ -235,7 +194,7 @@ def supports_fused_projection(spec) -> bool:
     Software-scaled formats (INT/VSQ), stochastic rounding, stateful
     scaling, and FP32 layers all keep their per-projection matmuls.
     """
-    if spec is None or is_grad_enabled() or not _FLAGS["projections"]:
+    if spec is None or is_grad_enabled() or not _ENABLED:
         return False
     act, weight = spec.activation, spec.weight
     if act is None or weight is None:

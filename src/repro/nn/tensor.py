@@ -15,21 +15,7 @@ from collections.abc import Callable, Iterable
 
 import numpy as np
 
-from ..core.runtime_env import fusion_env_enabled
-
 __all__ = ["Tensor", "no_grad", "is_grad_enabled"]
-
-#: Process-wide fusion-stage flags (see :mod:`repro.nn.residency`, which
-#: owns the public API and mutates this dict).  Stored here — the lowest
-#: layer that consults them — so the autograd engine can read a flag
-#: without importing the residency module.  ``REPRO_FUSION=0`` starts the
-#: process on the pre-residency schedule.
-_FUSION_DEFAULT = fusion_env_enabled()
-_FUSION_FLAGS = {
-    "residency": _FUSION_DEFAULT,
-    "epilogue": _FUSION_DEFAULT,
-    "projections": _FUSION_DEFAULT,
-}
 
 
 class _GradMode(threading.local):
@@ -196,8 +182,13 @@ class Tensor:
         if not self.requires_grad:
             return
         if self.grad is None:
-            self.grad = np.zeros_like(self.data)
-        self.grad += grad
+            # one fresh buffer: ``grad + 0.0`` equals ``zeros + grad`` bit
+            # for bit (``-0.0`` still lands as ``+0.0``), broadcast to the
+            # data's shape and never aliasing the caller's array
+            self.grad = np.empty_like(self.data)
+            np.add(grad, 0.0, out=self.grad)
+        else:
+            self.grad += grad
 
     # ------------------------------------------------------------------
     # Backward pass
@@ -407,26 +398,14 @@ class Tensor:
         data = self.data
         out_data = data.max(axis=axis, keepdims=True)
 
-        if _FUSION_FLAGS["epilogue"]:
-            # pipeline fusion defers gradient-only work out of the forward
-            # pass: the argmax mask and tie counts are derived in backward
-            # (from the forward-time array reference), sparing every
-            # inference softmax two full passes over its scores
-            def backward(grad):
-                mask = data == out_data
-                counts = mask.sum(axis=axis, keepdims=True)
-                g = grad if keepdims else np.expand_dims(grad, axis)
-                self._accumulate(mask * g / counts)
-        else:
-            # pre-fusion schedule: mask and counts computed eagerly, so the
-            # fusion-off benchmark baseline reproduces the historical
-            # execution exactly
+        # the argmax mask and tie counts are derived in backward (from the
+        # forward-time array reference), sparing every inference softmax
+        # two full passes over its scores
+        def backward(grad):
             mask = data == out_data
             counts = mask.sum(axis=axis, keepdims=True)
-
-            def backward(grad):
-                g = grad if keepdims else np.expand_dims(grad, axis)
-                self._accumulate(mask * g / counts)
+            g = grad if keepdims else np.expand_dims(grad, axis)
+            self._accumulate(mask * g / counts)
 
         result = out_data if keepdims else out_data.squeeze(axis)
         return Tensor._make(result, (self,), backward)

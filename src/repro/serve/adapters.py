@@ -269,7 +269,7 @@ class CausalLMAdapter(TaskAdapter):
         prepared = self._pair_rows(pairs)
         if not prepared:
             return []
-        if fusion_enabled("epilogue") and not is_grad_enabled():
+        if fusion_enabled() and not is_grad_enabled():
             return self._pair_logprobs_fused(prepared)
         width = max(len(inp) for inp, _, _ in prepared)
         batch = np.zeros((len(prepared), width), dtype=np.int64)

@@ -134,13 +134,14 @@ def measure_forward_speedup(
     repeats: int = 8,
     seed: int = 0,
 ) -> dict:
-    """Batched scored-forward throughput: pre-residency vs fused schedule.
+    """Batched scored-forward throughput: unfused vs fused schedule.
 
     The forward-path headline (``BENCH_forward.json``): one compiled model
-    serves the same batched score stream twice per repeat — once with
-    every fusion stage disabled (:func:`~repro.nn.residency
-    .fusion_disabled` restores the pre-residency execution end to end,
-    kernels included) and once with the resident/fused schedule.  The two
+    serves the same batched score stream twice per repeat — once on the
+    unfused schedule (:func:`~repro.nn.residency.fusion_disabled`:
+    per-consumer quantization, separate projections, Tensor-op attention
+    and the plain scorer, over the same kernels) and once with the
+    resident/fused schedule.  The two
     passes alternate within each repeat, so machine-load drift hits both
     sides equally; the reported ``speedup`` is the *median of the
     per-repeat ratios* (the drift-cancelling estimator), with best-of
@@ -182,7 +183,7 @@ def measure_forward_speedup(
         baseline_quant_calls = quantize_call_count() - calls_before
     if fused_results != baseline_results:
         raise AssertionError(
-            "fused and pre-residency schedules disagree; refusing to "
+            "fused and unfused schedules disagree; refusing to "
             "benchmark a speedup that changes results"
         )
 
@@ -323,8 +324,12 @@ def measure_continuous_speedup(
     session (the micro-batcher's equal-shape grouping degrades ragged
     ``generate`` traffic to serial singleton decodes), once through a
     session with the continuous scheduler (token-granularity batching over
-    the paged KV pool).  Tokens/sec is the whole-drain wall clock,
-    best-of-``repeats`` per path.
+    the paged KV pool).  Both sessions stay open, and each repeat times
+    one drain of each, alternating which path runs first, so machine-load
+    drift hits both sides equally; the reported ``speedup`` is the
+    *median of the per-repeat ratios* (the drift-cancelling estimator of
+    :func:`measure_forward_speedup`), with best-of-``repeats`` whole-drain
+    tokens/sec per path reported alongside.
 
     Both paths are checked **bit-identical** to the serial
     ``generate_stream`` decode of every prompt before any number is
@@ -334,6 +339,8 @@ def measure_continuous_speedup(
     from ..spec.serving import SessionConfig
     from .compile import compile_model
 
+    if repeats < 1:
+        raise ValueError(f"repeats must be >= 1, got {repeats}")
     compiled = compile_model(model, fmt)
     adapter = compiled.adapter
     rng = np.random.default_rng(seed)
@@ -354,37 +361,38 @@ def measure_continuous_speedup(
     def drain(session) -> list:
         return [r["tokens"] for r in session.map(requests)]
 
-    lockstep_tps = continuous_tps = 0.0
-    lockstep_cfg = SessionConfig(format=fmt, max_batch=streams, max_wait=0.05)
-    with compiled.session(lockstep_cfg) as session:
-        if drain(session) != truth:  # warm pass doubles as the identity gate
-            raise AssertionError(
-                "lockstep generate diverged from serial decode; "
-                "refusing to report a speedup"
-            )
-        for _ in range(repeats):
-            start = time.perf_counter()
-            drain(session)
-            lockstep_tps = max(
-                lockstep_tps, total_tokens / (time.perf_counter() - start)
-            )
-        lockstep_summary = session.summary()
+    def timed_drain(session) -> float:
+        start = time.perf_counter()
+        drain(session)
+        return total_tokens / (time.perf_counter() - start)
 
+    lockstep_cfg = SessionConfig(format=fmt, max_batch=streams, max_wait=0.05)
     continuous_cfg = SessionConfig(format=fmt, scheduler={"max_streams": streams})
-    with compiled.session(continuous_cfg) as session:
-        if drain(session) != truth:
-            raise AssertionError(
-                "continuous batching diverged from serial decode; "
-                "refusing to report a speedup"
-            )
-        for _ in range(repeats):
-            start = time.perf_counter()
-            drain(session)
-            continuous_tps = max(
-                continuous_tps, total_tokens / (time.perf_counter() - start)
-            )
-        summary = session.summary()
-        pool = session._sched.pool
+    with compiled.session(lockstep_cfg) as lockstep, \
+            compiled.session(continuous_cfg) as continuous:
+        # the warm passes double as the identity gate
+        for name, session in (("lockstep generate", lockstep),
+                              ("continuous batching", continuous)):
+            if drain(session) != truth:
+                raise AssertionError(
+                    f"{name} diverged from serial decode; "
+                    "refusing to report a speedup"
+                )
+        lockstep_tps = continuous_tps = 0.0
+        ratios = []
+        for repeat in range(repeats):
+            if repeat % 2:
+                cont = timed_drain(continuous)
+                lock = timed_drain(lockstep)
+            else:
+                lock = timed_drain(lockstep)
+                cont = timed_drain(continuous)
+            lockstep_tps = max(lockstep_tps, lock)
+            continuous_tps = max(continuous_tps, cont)
+            ratios.append(cont / lock)
+        lockstep_summary = lockstep.summary()
+        summary = continuous.summary()
+        pool = continuous._sched.pool
     leaked = pool.leaked()
     if leaked:
         raise AssertionError(f"page pool leaked after the drain: {leaked}")
@@ -400,7 +408,7 @@ def measure_continuous_speedup(
         "tokens_per_pass": total_tokens,
         "lockstep_tokens_per_sec": lockstep_tps,
         "continuous_tokens_per_sec": continuous_tps,
-        "speedup": continuous_tps / lockstep_tps if lockstep_tps else float("inf"),
+        "speedup": sorted(ratios)[len(ratios) // 2],
         # the satellite observable: how often the classic path fell back
         # to serial decode on this ragged stream
         "lockstep_serial_fallbacks": lockstep_summary.get("decode", {}).get(

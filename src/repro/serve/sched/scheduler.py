@@ -32,9 +32,10 @@ Design (vLLM-style, adapted to BDR block structure):
 * **Reliability** reuses the PR 6 vocabulary: per-request deadlines are
   enforced while waiting and between tokens; fault sites ``sched.admit``
   and ``sched.preempt`` inject errors/transients/latency (an injected
-  admit error fails that request; a preempt fault aborts the preemption
-  attempt for the tick); all futures resolve through the session's
-  exactly-once helpers.
+  admit error fails that request; a transient admit fault retries next
+  tick, or fails the waiter with ``SessionClosed`` once the scheduler is
+  closing; a preempt fault aborts the preemption attempt for the tick);
+  all futures resolve through the session's exactly-once helpers.
 
 One decode thread owns all scheduler state except the waiting queue
 (guarded by the scheduler condition) and the page pool (its own lock), so
@@ -345,8 +346,17 @@ class ContinuousScheduler:
             except TransientFault:
                 with self._cv:
                     self._counters["admit_faults"] += 1
-                    self._insert_waiting_locked(pick)  # retry next tick
-                return
+                    if not self._closing:
+                        self._insert_waiting_locked(pick)  # retry next tick
+                        return
+                # no retries once closing: close() would otherwise wait out
+                # its whole join timeout on this waiter
+                self._fail_entry(
+                    pick,
+                    SessionClosed("session closed before the request was admitted"),
+                    event="closed",
+                )
+                continue
             except InjectedFault as error:
                 with self._cv:
                     self._counters["admit_faults"] += 1

@@ -6,7 +6,7 @@ import pytest
 from repro.core.bdr import BDRConfig
 from repro.formats.registry import get_format
 from repro.kernels.base import EPILOGUES, gelu_reference
-from repro.kernels.numpy_backend import NumpyBackend, set_legacy_schedule
+from repro.kernels.numpy_backend import NumpyBackend
 from repro.kernels.plan import (
     checkout_scratch,
     clear_plan_cache,
@@ -14,6 +14,7 @@ from repro.kernels.plan import (
     release_scratch,
 )
 from repro.kernels.reference import ReferenceBackend
+from repro.kernels.registry import use_backend
 
 NUMPY = NumpyBackend()
 REFERENCE = ReferenceBackend()
@@ -112,17 +113,16 @@ class TestScheduleVariants:
     @pytest.mark.parametrize(
         "shape,axis", [((8, 64), -1), ((4, 8, 24), -1), ((3, 40, 7), 1), ((512, 96), -1)]
     )
-    def test_legacy_schedule_bit_identical(self, rng, name, shape, axis):
-        """The pre-residency kernel body must agree with the current one."""
+    def test_fused_kernel_matches_reference(self, rng, name, shape, axis):
+        """The pow2 fused kernel body, reached through format dispatch,
+        agrees with the reference backend on every named format."""
         fmt = get_format(name)
         x = rng.normal(size=shape)
-        current = fmt.quantize(x, axis=axis)
-        previous = set_legacy_schedule(True)
-        try:
-            legacy = fmt.quantize(x, axis=axis)
-        finally:
-            set_legacy_schedule(previous)
-        np.testing.assert_array_equal(current, legacy)
+        with use_backend("numpy"):
+            fast = fmt.quantize(x, axis=axis)
+        with use_backend("reference"):
+            oracle = fmt.quantize(x, axis=axis)
+        np.testing.assert_array_equal(fast, oracle)
 
     @pytest.mark.parametrize("name", ["mx6", "mx9", "msfp12"])
     def test_tiled_large_call_bit_identical(self, rng, name):

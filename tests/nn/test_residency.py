@@ -1,11 +1,16 @@
 """Quantized activation residency: payload sharing, flags, observability."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import repro
 from repro.core.quantize import quantize_call_count, reset_quantize_calls
 from repro.formats.registry import get_format
-from repro.kernels.numpy_backend import legacy_schedule
 from repro.nn.layers import Linear
 from repro.nn.quantized import QuantSpec, quantized_matmul
 from repro.nn.residency import (
@@ -13,7 +18,6 @@ from repro.nn.residency import (
     QuantizedActivation,
     acquire,
     configure_fusion,
-    fusion_configured,
     fusion_disabled,
     fusion_enabled,
     supports_epilogue,
@@ -33,10 +37,13 @@ def spec():
 
 
 @pytest.fixture(autouse=True)
-def _stages_on():
-    """Pin every fusion stage on so the suite is REPRO_FUSION-independent."""
-    with fusion_configured(residency=True, epilogue=True, projections=True):
+def _fused_on():
+    """Pin the fused schedule on so the suite is REPRO_FUSION-independent."""
+    previous = configure_fusion(True)
+    try:
         yield
+    finally:
+        configure_fusion(previous)
 
 
 class TestAcquire:
@@ -107,41 +114,51 @@ class TestResidencyInMatmul:
         assert quantize_call_count() - before >= 1
 
 
-class TestFusionSwitchboard:
-    def test_stages_on_inside_fixture(self):
-        # the autouse fixture pins stages on; the process default itself
-        # follows REPRO_FUSION (covered by the env-smoke in scripts/ci.sh)
-        assert fusion_enabled("residency")
-        assert fusion_enabled("epilogue")
-        assert fusion_enabled("projections")
+def _fusion_default(env_value):
+    """``fusion_enabled()`` as a fresh interpreter reads it at import."""
+    env = {k: v for k, v in os.environ.items() if k != "REPRO_FUSION"}
+    if env_value is not None:
+        env["REPRO_FUSION"] = env_value
+    src = str(Path(repro.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    out = subprocess.run(
+        [sys.executable, "-c", "import repro.nn; print(repro.nn.fusion_enabled())"],
+        env=env, capture_output=True, text=True, timeout=120, check=True,
+    )
+    return out.stdout.strip()
 
-    def test_unknown_stage_rejected(self):
-        with pytest.raises(ValueError, match="unknown fusion stage"):
-            fusion_enabled("warp")
+
+class TestFusionSwitchboard:
+    def test_fused_inside_fixture(self):
+        # the autouse fixture pins the schedule on; the process default
+        # itself follows REPRO_FUSION (test_env_var_sets_process_default)
+        assert fusion_enabled()
+
+    @pytest.mark.parametrize(
+        "env_value,expected",
+        [("0", "False"), ("off", "False"), ("FALSE", "False"), (" no ", "False"),
+         ("1", "True"), (None, "True")],
+        ids=["0", "off", "FALSE", "no-padded", "1", "unset"],
+    )
+    def test_env_var_sets_process_default(self, env_value, expected):
+        assert _fusion_default(env_value) == expected
 
     def test_configure_restores(self):
-        previous = configure_fusion(epilogue=False)
+        previous = configure_fusion(False)
         try:
-            assert not fusion_enabled("epilogue")
-            assert fusion_enabled("projections")
+            assert previous is True
+            assert not fusion_enabled()
         finally:
-            configure_fusion(**previous)
-        assert fusion_enabled("epilogue")
+            configure_fusion(previous)
+        assert fusion_enabled()
 
     def test_context_managers_nest(self):
         with fusion_disabled():
-            assert not fusion_enabled("residency")
-            with fusion_configured(epilogue=True):
-                assert fusion_enabled("epilogue")
-                assert not fusion_enabled("projections")
-            assert not fusion_enabled("epilogue")
-        assert fusion_enabled("residency")
-
-    def test_kernel_schedule_follows_epilogue_stage(self):
-        assert not legacy_schedule()
-        with fusion_disabled():
-            assert legacy_schedule()
-        assert not legacy_schedule()
+            assert not fusion_enabled()
+            with fusion_disabled():
+                assert not fusion_enabled()
+            assert not fusion_enabled()
+        assert fusion_enabled()
 
 
 class TestEligibility:

@@ -148,6 +148,26 @@ class TestMechanics:
         (t * 3).sum().backward()
         np.testing.assert_array_equal(t.grad, [5.0, 5.0])
 
+    def test_first_grad_write_is_a_fresh_exact_copy(self):
+        """The first write equals ``zeros + grad`` bit for bit: ``-0.0``
+        lands as ``+0.0``, a broadcast grad fills the data's shape and
+        dtype, and ``.grad`` never aliases the caller's array."""
+        row = np.array([[-0.0, 1.5, -2.0, np.inf]], dtype=np.float32)
+        t = Tensor(np.ones((3, 4)), requires_grad=True)
+        t._accumulate(row)
+        expected = np.zeros((3, 4)) + row
+        assert t.grad.shape == (3, 4) and t.grad.dtype == np.float64
+        np.testing.assert_array_equal(t.grad.view(np.int64), expected.view(np.int64))
+        assert not np.signbit(t.grad[:, 0]).any()
+
+        full = np.full((3, 4), -0.0)
+        u = Tensor(np.ones((3, 4)), requires_grad=True)
+        u._accumulate(full)
+        assert not np.shares_memory(u.grad, full)
+        assert not np.signbit(u.grad).any()
+        full[0, 0] = 7.0
+        assert u.grad[0, 0] == 0.0
+
     def test_no_grad_context(self):
         t = Tensor(np.ones(2), requires_grad=True)
         with no_grad():
