@@ -32,6 +32,13 @@ if python -m repro describe mx7 2> /dev/null; then
     echo "describe mx7 should have failed" >&2
     exit 1
 fi
+# a bench with no timed pass is a usage error (exit 2), refused up front
+status=0
+timeout 10 python -m repro bench-forward --repeats 0 2> /dev/null || status=$?
+if [ "$status" -ne 2 ]; then
+    echo "bench-forward --repeats 0 should exit 2, got $status" >&2
+    exit 1
+fi
 
 echo "=== [4/6] serving CLI smoke ==="
 # tiny model, ~2s budget: exercises compile -> session -> metrics end to end

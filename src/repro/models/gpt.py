@@ -17,7 +17,7 @@ from ..nn.attention import causal_mask
 from ..nn.layers import Embedding, LayerNorm, Linear, Module
 from ..nn.quantized import QuantSpec
 from ..nn.tensor import Tensor, no_grad
-from ..nn.transformer import TransformerBlock, sinusoidal_positions
+from ..nn.transformer import FeedForward, TransformerBlock, sinusoidal_positions
 
 __all__ = ["GPTConfig", "GPT", "GPT_SIZES", "score_candidates"]
 
@@ -66,11 +66,16 @@ class GPT(Module):
                 hidden=config.hidden_multiple * config.dim,
                 rng=rng,
                 quant=quant,
+                mlp=self._feed_forward,
             )
             for _ in range(config.num_layers)
         ]
         self.ln_f = LayerNorm(config.dim)
         self.head = Linear(config.dim, vocab_size, rng=rng, quant=quant)
+
+    def _feed_forward(self, dim, hidden, rng, quant) -> Module:
+        """A block's ``mlp``, built after its attention (RNG draw order)."""
+        return FeedForward(dim, hidden, rng=rng, quant=quant)
 
     def _trunk(self, tokens: np.ndarray) -> Tensor:
         """Final-block hidden states (B, T, D) for a token batch."""

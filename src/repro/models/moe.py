@@ -17,19 +17,12 @@ import numpy as np
 
 from ..kernels.registry import get_backend
 from ..nn import functional as F
-from ..nn.attention import MultiHeadAttention, causal_mask
-from ..nn.layers import Embedding, LayerNorm, Linear, Module
+from ..nn.layers import Linear, Module
 from ..nn.precision import VectorPrecision
 from ..nn.quantized import QuantSpec, memo_quantize
-from ..nn.residency import (
-    FusedWeightCache,
-    acquire,
-    supports_epilogue,
-    supports_fused_projection,
-)
-from ..nn.tensor import Tensor, no_grad
-from ..nn.transformer import sinusoidal_positions
-from .gpt import GPTConfig
+from ..nn.residency import FusedWeightCache, supports_epilogue, supports_fused_projection
+from ..nn.tensor import Tensor
+from .gpt import GPT, GPTConfig
 
 __all__ = ["MoEFeedForward", "MoEGPT"]
 
@@ -108,8 +101,8 @@ class MoEFeedForward(Module):
         spec = self.experts_fc1[0].quant
         backend = get_backend()
         w_cat, b_cat = self._fused_fc1.payload(self.experts_fc1, spec)
-        payload = acquire(x, spec.activation, -1, rounding=spec.rounding, rng=spec.rng)
-        hidden_all = backend.matmul_epilogue(payload.data, w_cat, "bias_gelu", b_cat)
+        x_q = memo_quantize(x, spec.activation, -1, rounding=spec.rounding, rng=spec.rng)
+        hidden_all = backend.matmul_epilogue(x_q, w_cat, "bias_gelu", b_cat)
         hidden = self.experts_fc1[0].out_features
         gates = weights.data
         out = None
@@ -130,21 +123,15 @@ class MoEFeedForward(Module):
         return Tensor(out)
 
 
-class _MoEBlock(Module):
-    def __init__(self, dim, num_heads, num_experts, rng, quant):
-        super().__init__()
-        self.ln1 = LayerNorm(dim)
-        self.attn = MultiHeadAttention(dim, num_heads, rng=rng, quant=quant)
-        self.ln2 = LayerNorm(dim)
-        self.moe = MoEFeedForward(dim, num_experts, rng=rng, quant=quant)
+class MoEGPT(GPT):
+    """Causal LM whose blocks hold a :class:`MoEFeedForward` in the ``mlp`` slot.
 
-    def forward(self, x, mask=None, cache=None):
-        x = x + self.attn(self.ln1(x), mask=mask, cache=cache)
-        return x + self.moe(self.ln2(x))
-
-
-class MoEGPT(Module):
-    """Causal LM with MoE feed-forward blocks."""
+    Everything else — trunk, scoring, generation, cached and packed decode —
+    is :class:`~repro.models.gpt.GPT`'s.  The mixture is row-local (the
+    gate softmax runs along the expert axis of each row), so
+    :func:`~repro.nn.decode.supports_batched_decode` certifies the packed
+    decode step for it exactly as for the dense MLP.
+    """
 
     def __init__(
         self,
@@ -154,74 +141,9 @@ class MoEGPT(Module):
         rng: np.random.Generator | None = None,
         quant: QuantSpec | None = None,
     ):
-        super().__init__()
-        rng = rng or np.random.default_rng()
-        self.vocab_size = vocab_size
-        self.config = config
-        self.token_emb = Embedding(vocab_size, config.dim, rng=rng)
-        self.positions = sinusoidal_positions(config.max_len, config.dim)
-        self.blocks = [
-            _MoEBlock(config.dim, config.num_heads, num_experts, rng, quant)
-            for _ in range(config.num_layers)
-        ]
-        self.ln_f = LayerNorm(config.dim)
-        self.head = Linear(config.dim, vocab_size, rng=rng, quant=quant)
+        self.num_experts = num_experts
+        super().__init__(vocab_size, config, rng=rng, quant=quant)
 
-    def _trunk(self, tokens: np.ndarray) -> Tensor:
-        """Final-block hidden states (B, T, D) for a token batch."""
-        tokens = np.asarray(tokens)
-        t = tokens.shape[-1]
-        x = self.token_emb(tokens) + Tensor(self.positions[:t])
-        mask = causal_mask(t)
-        for block in self.blocks:
-            x = block(x, mask=mask)
-        return x
-
-    def forward(self, tokens: np.ndarray) -> Tensor:
-        return self.head(self.ln_f(self._trunk(tokens)))
-
-    def forward_rows(self, tokens: np.ndarray, batch_idx, row_idx) -> Tensor:
-        """Logits only at selected positions (see :meth:`GPT.forward_rows`)."""
-        x = self._trunk(tokens)
-        picked = Tensor(x.data[np.asarray(batch_idx), np.asarray(row_idx)])
-        return self.head(self.ln_f(picked))
-
-    def loss(self, batch: np.ndarray) -> Tensor:
-        batch = np.asarray(batch)
-        logits = self.forward(batch[:, :-1])
-        return F.cross_entropy(logits, batch[:, 1:])
-
-    def eval_loss(self, batches) -> float:
-        losses = []
-        with no_grad():
-            for batch in batches:
-                losses.append(float(self.loss(batch).data))
-        return float(np.mean(losses))
-
-    def sequence_logprob(self, context: np.ndarray, continuation: np.ndarray) -> float:
-        """Total log-probability of ``continuation`` given ``context``
-        (served through the shared causal-LM adapter, like :class:`GPT`)."""
-        from ..serve.adapters import adapter_for
-
-        return adapter_for(self).sequence_logprob(context, continuation)
-
-    def generate(self, prompt: np.ndarray, max_new_tokens: int = 16, eos: int | None = None):
-        """Greedy continuation of ``prompt`` (list of generated token ids)."""
-        from ..serve.adapters import adapter_for
-
-        return list(adapter_for(self).generate_stream(prompt, max_new_tokens, eos=eos))
-
-    # ------------------------------------------------------------------
-    # Incremental decoding (shared with GPT via the causal decode helpers)
-    # ------------------------------------------------------------------
-    def init_decode_state(self, batch: int = 1):
-        """Fresh per-layer KV caches for :meth:`forward_step`."""
-        from ..nn.decode import init_causal_decode_state
-
-        return init_causal_decode_state(self, batch)
-
-    def forward_step(self, tokens: np.ndarray, state) -> Tensor:
-        """Cached next-token logits over the current window (see :class:`GPT`)."""
-        from ..nn.decode import causal_decode_step
-
-        return causal_decode_step(self, tokens, state)
+    def _feed_forward(self, dim, hidden, rng, quant) -> MoEFeedForward:
+        # experts are 4 * dim wide whatever the config's hidden_multiple
+        return MoEFeedForward(dim, self.num_experts, rng=rng, quant=quant)

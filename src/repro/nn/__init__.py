@@ -29,8 +29,6 @@ from .precision import VectorPrecision, apply_vector_precision, round_bf16, roun
 from .quantized import QuantSpec, quantized_bmm, quantized_matmul
 from .recurrent import LSTM, LSTMCell
 from .residency import (
-    QuantizedActivation,
-    acquire,
     configure_fusion,
     fusion_disabled,
     fusion_enabled,
@@ -72,8 +70,6 @@ __all__ = [
     "QuantSpec",
     "quantized_bmm",
     "quantized_matmul",
-    "QuantizedActivation",
-    "acquire",
     "configure_fusion",
     "fusion_disabled",
     "fusion_enabled",

@@ -6,12 +6,13 @@ runs in the scalar vector precision (BF16 by default in the paper).
 
 Inference runs a fused schedule (see :mod:`repro.nn.residency`): the three
 Q/K/V projections collapse into one concatenated-weight matmul over the
-*resident* quantized input payload, and the element-wise pipeline between
-the two attention products (scale → mask → softmax → vector precision)
-executes as in-place ufuncs on the raw score array instead of a chain of
-autograd Tensor ops.  Both replay the exact unfused operation
-sequence, so outputs are bit-identical; training always takes the unfused
-autograd path.
+*resident* quantized input payload, and one attention body
+(:meth:`MultiHeadAttention._attend`) runs the scores product, the
+element-wise pipeline (scale → mask → softmax → vector precision) as
+in-place ufuncs on the raw score array, and the context product — for the
+uncached forward, the cached step and the packed decode step alike.  It
+replays the exact unfused operation sequence, so outputs are
+bit-identical; training always takes the unfused autograd path.
 """
 
 from __future__ import annotations
@@ -30,12 +31,7 @@ from .quantized import (
     quantized_bmm,
     quantized_bmm_prequant,
 )
-from .residency import (
-    FusedWeightCache,
-    acquire,
-    supports_epilogue,
-    supports_fused_projection,
-)
+from .residency import FusedWeightCache, supports_epilogue, supports_fused_projection
 from .tensor import Tensor
 
 __all__ = ["MultiHeadAttention", "causal_mask"]
@@ -53,13 +49,6 @@ def causal_mask(t: int) -> np.ndarray:
     mask = np.triu(np.ones((t, t), dtype=bool), k=1)
     mask.setflags(write=False)
     return mask
-
-
-def _activation_role(spec: QuantSpec | None):
-    """(format, rounding, rng) of the activation role, or passthrough."""
-    if spec is None or spec.activation is None:
-        return None, "nearest", None
-    return spec.activation, spec.rounding, spec.rng
 
 
 def _round_vector(data: np.ndarray, precision: str) -> np.ndarray:
@@ -111,7 +100,7 @@ class MultiHeadAttention(Module):
         return x.transpose(0, 2, 1, 3).reshape(b, t, h * d)
 
     # ------------------------------------------------------------------
-    # Projections
+    # Inference: fused projections and the one attention body
     # ------------------------------------------------------------------
     def _can_fuse_projections(self) -> bool:
         """All three input projections may collapse into one matmul."""
@@ -128,69 +117,71 @@ class MultiHeadAttention(Module):
             proj.vector_precision == VectorPrecision.FP32 for proj in projections
         )
 
-    def _project_qkv(self, x: Tensor, context: Tensor) -> tuple[Tensor, Tensor, Tensor]:
-        """Head-split (q, k, v) projections.
+    def _project_qkv(self, x: Tensor, context: Tensor) -> tuple[np.ndarray, ...]:
+        """Raw head-split ``(q, k, v)`` arrays, each ``(B, H, T, head_dim)``.
 
-        Self-attention at inference fuses the three projections into one
-        ``x_q @ [W_q | W_k | W_v]`` product over the resident quantized
-        payload of ``x`` (plus a fused bias epilogue) and splits the output
-        columns — bit-identical to three separate matmuls because the
-        concatenated weight is the concatenation of the *same memoized*
-        per-projection payloads and pow2-scaled BDR dot products are exact
-        (order-independent) in float64.  Every other case — training,
-        cross-attention, non-eligible formats — runs the historical three
-        projections.
+        Self-attention on eligible formats runs one ``x_q @ [W_q | W_k |
+        W_v]`` product over the resident quantized payload of ``x`` (plus a
+        fused bias epilogue) and returns views of its output columns —
+        bit-identical to three separate matmuls because the concatenated
+        weight is the concatenation of the *same memoized* per-projection
+        payloads and pow2-scaled BDR dot products are exact
+        (order-independent) in float64.  Every other case — cross-attention,
+        non-eligible formats — runs the three projections and returns their
+        data.  Inference only: the arrays carry no autograd history.
         """
         if context is x and self._can_fuse_projections():
             spec = self.q_proj.quant
             weight, bias = self._fused_qkv.payload(
                 (self.q_proj, self.k_proj, self.v_proj), spec
             )
-            payload = acquire(
-                x, spec.activation, -1, rounding=spec.rounding, rng=spec.rng
-            )
+            x_q = memo_quantize(x, spec.activation, -1, rounding=spec.rounding, rng=spec.rng)
             fused = get_backend().matmul_epilogue(
-                payload.data, weight, None if bias is None else "bias", bias
+                x_q, weight, None if bias is None else "bias", bias
             )
-            d = self.dim
-            q = Tensor(fused[..., :d])
-            k = Tensor(fused[..., d : 2 * d])
-            v = Tensor(fused[..., 2 * d :])
-        else:
-            q = self.q_proj(x)
-            k = self.k_proj(context)
-            v = self.v_proj(context)
-        return self._split_heads(q), self._split_heads(k), self._split_heads(v)
+            b, t, _ = fused.shape
+            grid = fused.reshape(b, t, 3, self.num_heads, self.head_dim)
+            q, k, v = grid.transpose(2, 0, 3, 1, 4)
+            return q, k, v
+        return tuple(
+            self._split_heads(proj(source)).data
+            for proj, source in (
+                (self.q_proj, x), (self.k_proj, context), (self.v_proj, context)
+            )
+        )
 
-    # ------------------------------------------------------------------
-    # The element-wise pipeline between the two attention products
-    # ------------------------------------------------------------------
-    def _pipeline_tail(self, scores: np.ndarray, mask, v_payload) -> Tensor:
-        """scale → mask → softmax → vector precision → context, fused.
+    def _attend(self, q_q: np.ndarray, kT_q: np.ndarray, mask, v_payload) -> np.ndarray:
+        """Scores product → scale → mask → softmax → vector precision → context.
 
-        ``scores`` is the raw (owned) score array, mutated in place;
-        ``v_payload`` is a thunk producing the quantized V operand, called
-        *after* the softmax weights are quantized so the engine-call order
-        matches the unfused path exactly (stochastic rounding and delayed
-        scaling observe tensors in the same sequence).  Every ufunc
-        mirrors the Tensor-op chain of :meth:`forward` — identical
-        operations and association order, hence identical bits.  Returns
-        the head-merged ``(B, T, D)`` context, ready for ``out_proj``.
+        The inference attention body, shared by the uncached forward, the
+        cached step and every stream of the packed decode step
+        (:func:`~repro.nn.decode.batched_causal_decode_step`).  ``q_q``
+        ``(B, H, T_q, head_dim)`` and ``kT_q`` ``(B, H, head_dim, T_k)``
+        already hold the activation quantization; ``v_payload`` is a thunk
+        producing the quantized V operand, called *after* the softmax
+        weights are quantized so the engine-call order matches the unfused
+        path exactly (stochastic rounding and delayed scaling observe
+        tensors in the same sequence).  The element-wise steps run in place
+        on the raw score array, each ufunc mirroring the Tensor-op chain of
+        :meth:`forward` — identical operations and association order, hence
+        identical bits.  Returns the head-merged ``(B, T_q, D)`` context,
+        ready for ``out_proj``.
         """
+        # repro: allow(direct-matmul): fused fast path on already-quantized payloads; proven bit-exact vs dispatch by the equivalence suite
+        scores = np.matmul(q_q, kT_q)
         scores *= 1.0 / np.sqrt(self.head_dim)
         if mask is not None:
             np.copyto(scores, -1e9, where=mask)
         scores -= scores.max(axis=-1, keepdims=True)
         np.exp(scores, out=scores)
         scores /= scores.sum(axis=-1, keepdims=True)
-        weights = _round_vector(scores, self.vector_precision)
-        fmt, rounding, rng = _activation_role(self.quant)
-        if fmt is not None:
-            weights = fmt.quantize(weights, axis=-1, rounding=rounding, rng=rng)
+        weights = self.quant.quantize(
+            "activation", _round_vector(scores, self.vector_precision), -1
+        )
         # repro: allow(direct-matmul): fused fast path on already-quantized payloads; proven bit-exact vs dispatch by the equivalence suite
         context = np.matmul(weights, v_payload())
         b, h, t, d = context.shape
-        return Tensor(context.transpose(0, 2, 1, 3).reshape(b, t, h * d))
+        return context.transpose(0, 2, 1, 3).reshape(b, t, h * d)
 
     # ------------------------------------------------------------------
     def forward(
@@ -216,34 +207,22 @@ class MultiHeadAttention(Module):
         if cache is not None:
             return self._forward_cached(x, context, mask, cache)
         context = x if context is None else context
-        if (
-            context is x
-            and self._can_fuse_projections()
-            and supports_fused_projection(self.quant)
-            and supports_epilogue(self.quant)
-        ):
-            return self._forward_fused_self(x, mask)
-        q, k, v = self._project_qkv(x, context)
-
         if supports_epilogue(self.quant):
-            # inference: quantize q and k (resident payloads), then run
-            # the element-wise pipeline in place on the raw score array.
-            # k quantizes along its trailing head_dim axis and the payload
-            # is view-transposed: blocks are head_dim fibers either way, so
-            # this equals quantizing K^T along axis -2 bit-for-bit while
-            # skipping the kernel's moveaxis copy.
-            fmt, rounding, rng = _activation_role(self.quant)
-            q_q = memo_quantize(q, fmt, -1, rounding=rounding, rng=rng)
-            k_q = memo_quantize(k, fmt, -1, rounding=rounding, rng=rng)
+            # inference: q and k quantize along their trailing head_dim
+            # axis and K's payload is view-transposed: blocks are head_dim
+            # fibers either way, so this equals quantizing K^T along axis
+            # -2 bit-for-bit while skipping the kernel's moveaxis copy
+            q, k, v = self._project_qkv(x, context)
+            quantize = self.quant.quantize
+            q_q = quantize("activation", q, -1)
+            kT_q = np.swapaxes(quantize("activation", k, -1), -1, -2)
             return self.out_proj(
-                self._pipeline_tail(
-                    # repro: allow(direct-matmul): fused fast path on already-quantized payloads; proven bit-exact vs dispatch by the equivalence suite
-                    np.matmul(q_q, np.swapaxes(k_q, -1, -2)),
-                    mask,
-                    lambda: memo_quantize(v, fmt, -2, rounding=rounding, rng=rng),
-                )
+                Tensor(self._attend(q_q, kT_q, mask, lambda: quantize("activation", v, -2)))
             )
 
+        q = self._split_heads(self.q_proj(x))
+        k = self._split_heads(self.k_proj(context))
+        v = self._split_heads(self.v_proj(context))
         scores = quantized_bmm(q, k.transpose(0, 1, 3, 2), self.quant)
         scores = scores * (1.0 / np.sqrt(self.head_dim))
         if mask is not None:
@@ -251,43 +230,6 @@ class MultiHeadAttention(Module):
         weights = apply_vector_precision(F.softmax(scores, axis=-1), self.vector_precision)
         attended = quantized_bmm(weights, v, self.quant)
         return self.out_proj(self._merge_heads(attended))
-
-    def _forward_fused_self(self, x: Tensor, mask) -> Tensor:
-        """Fully fused self-attention step (inference, eligible formats).
-
-        One concatenated Q/K/V matmul over the resident payload of ``x``,
-        then head splitting as pure views on the raw output: q and k
-        quantize along their trailing head_dim axis straight off the head
-        grid (no intermediate Tensor copies; the transposed payloads are
-        views, bit-identical to quantizing after transposition because
-        blocks are head_dim fibers either way), and the element-wise
-        pipeline runs in place.  Engaged only when
-        :func:`~repro.nn.residency.supports_fused_projection` holds for
-        the product spec, so every dot product is exact and the schedule
-        change cannot alter a single output bit.
-        """
-        spec = self.q_proj.quant
-        weight, bias = self._fused_qkv.payload(
-            (self.q_proj, self.k_proj, self.v_proj), spec
-        )
-        payload = acquire(x, spec.activation, -1, rounding=spec.rounding, rng=spec.rng)
-        fused = get_backend().matmul_epilogue(
-            payload.data, weight, None if bias is None else "bias", bias
-        )
-        b, t, _ = fused.shape
-        h, hd = self.num_heads, self.head_dim
-        grid = fused.reshape(b, t, 3 * h, hd)
-        fmt, rounding, rng = _activation_role(self.quant)
-        q_q = fmt.quantize(grid[:, :, :h], axis=-1, rounding=rounding, rng=rng)
-        k_q = fmt.quantize(grid[:, :, h : 2 * h], axis=-1, rounding=rounding, rng=rng)
-        # repro: allow(direct-matmul): fused fast path on already-quantized payloads; proven bit-exact vs dispatch by the equivalence suite
-        scores = np.matmul(q_q.transpose(0, 2, 1, 3), k_q.transpose(0, 2, 3, 1))
-
-        def v_payload():
-            v_view = grid[:, :, 2 * h :].transpose(0, 2, 1, 3)
-            return fmt.quantize(v_view, axis=-2, rounding=rounding, rng=rng)
-
-        return self.out_proj(self._pipeline_tail(scores, mask, v_payload))
 
     def _forward_cached(self, x, context, mask, cache) -> Tensor:
         """One incremental step against cached quantized K/V payloads.
@@ -304,21 +246,17 @@ class MultiHeadAttention(Module):
         source = x if context is None else context
         if hasattr(cache, "append") and source is x:
             q, k, v = self._project_qkv(x, x)
-            cache.append(k.data, v.data, spec=self.quant)
+            cache.append(k, v, spec=self.quant)
             kT_q, v_q = cache.keys_t, cache.values
         else:
-            q = self._split_heads(self.q_proj(x))
+            q = self._split_heads(self.q_proj(x)).data
             kT_q, v_q = cache.project(self, source)
 
         if supports_epilogue(self.quant):
-            fmt, rounding, rng = _activation_role(self.quant)
-            q_q = memo_quantize(q, fmt, -1, rounding=rounding, rng=rng)
-            return self.out_proj(
-                # repro: allow(direct-matmul): fused fast path on already-quantized payloads; proven bit-exact vs dispatch by the equivalence suite
-                self._pipeline_tail(np.matmul(q_q, kT_q), mask, lambda: v_q)
-            )
+            q_q = self.quant.quantize("activation", q, -1)
+            return self.out_proj(Tensor(self._attend(q_q, kT_q, mask, lambda: v_q)))
 
-        scores = quantized_bmm_prequant(q, kT_q, self.quant)
+        scores = quantized_bmm_prequant(Tensor(q), kT_q, self.quant)
         scores = scores * (1.0 / np.sqrt(self.head_dim))
         if mask is not None:
             scores = F.masked_fill(scores, mask, -1e9)

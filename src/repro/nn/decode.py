@@ -46,7 +46,7 @@ from __future__ import annotations
 import numpy as np
 
 from .attention import MultiHeadAttention, causal_mask
-from .quantized import QuantSpec, memo_quantize, quantize_partial_block
+from .quantized import QuantSpec, quantize_partial_block
 from .tensor import Tensor
 
 __all__ = [
@@ -651,9 +651,9 @@ def _batched_block_step(block, x: Tensor, caches, bounds, totals, spans) -> Tens
     Q/K/V projection, out_proj, FFN, residuals) runs once over real rows
     only; the attention tail (scores product, scale, mask, softmax,
     weights quantization, context product) runs per stream on its slice,
-    with exactly the serial shapes ``(1, H, L_i, T_i)``, so every
-    reduction groups identically to :meth:`MultiHeadAttention
-    ._forward_cached` on that stream alone.
+    with exactly the serial shapes ``(1, H, L_i, T_i)``, through the same
+    :meth:`MultiHeadAttention._attend` body as the cached step, so every
+    reduction groups identically to that stream decoded alone.
 
     Cache quantization is cross-stream batched: K columns of every stream
     quantize in one call (position-local along ``head_dim``), each cache
@@ -663,25 +663,24 @@ def _batched_block_step(block, x: Tensor, caches, bounds, totals, spans) -> Tens
     attn = block.attn
     normed = block.ln1(x)
     q, k, v = attn._project_qkv(normed, normed)
-    kq = caches[0]._quantize_k(k.data)
+    kq = caches[0]._quantize_k(k)
     for cache, rows in zip(caches, spans):
         cache.append(
             kq[:, :, rows],
-            v.data[:, :, rows],
+            v[:, :, rows],
             spec=attn.quant,
             k_quantized=True,
             defer_tail=True,
         )
     requantize_tails(caches)
-    fmt, rounding, rng = _activation_format(attn.quant)
-    q_q = memo_quantize(q, fmt, -1, rounding=rounding, rng=rng)
+    q_q = attn.quant.quantize("activation", q, -1)
 
     ctx = np.empty(x.data.shape)
     for cache, rows, bound, total in zip(caches, spans, bounds, totals):
         mask = causal_mask(total)[bound:] if total - bound > 1 else None
-        # repro: allow(direct-matmul): fused fast path on already-quantized payloads; proven bit-exact vs dispatch by the equivalence suite
-        scores = np.matmul(q_q[:, :, rows], cache.keys_t)
-        ctx[:, rows] = attn._pipeline_tail(scores, mask, lambda c=cache: c.values).data
+        ctx[:, rows] = attn._attend(
+            q_q[:, :, rows], cache.keys_t, mask, lambda c=cache: c.values
+        )
     attended = attn.out_proj(Tensor(ctx))
     x = x + block.drop(attended)
     return x + block.drop(block.mlp(block.ln2(x)))

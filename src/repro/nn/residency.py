@@ -42,22 +42,17 @@ from __future__ import annotations
 
 import contextlib
 import os
-from dataclasses import dataclass, field
 
 import numpy as np
 
 from ..core.quantize import quantize_call_count, reset_quantize_calls
-from .tensor import Tensor, is_grad_enabled
+from .tensor import is_grad_enabled
 
 # NOTE: :mod:`repro.nn.quantized` imports this module for the fusion
-# switch, so ``memo_quantize`` is imported lazily inside the two
-# functions that need it (neither is on a per-op hot path: ``acquire``
-# runs once per tensor role, ``FusedWeightCache.payload`` once per weight
-# version).
+# switch, so ``FusedWeightCache.payload`` imports ``memo_quantize`` lazily
+# (once per weight version, not a per-op hot path).
 
 __all__ = [
-    "QuantizedActivation",
-    "acquire",
     "FusedWeightCache",
     "fusion_enabled",
     "configure_fusion",
@@ -104,58 +99,6 @@ def fusion_disabled():
         yield
     finally:
         configure_fusion(previous)
-
-
-# ----------------------------------------------------------------------
-# The resident payload
-# ----------------------------------------------------------------------
-@dataclass(frozen=True)
-class QuantizedActivation:
-    """One activation's quantized payload for one consumption role.
-
-    Attributes:
-        source: the FP32 activation tensor the payload derives from.
-        data: the fake-quantized array (shared with the residency cache —
-            treat as read-only).
-        axis: the reduction axis the payload was quantized along.
-        version: ``source.version`` at acquisition; :attr:`fresh` is False
-            once the source data was rebound, after which the payload must
-            not be used.
-    """
-
-    source: Tensor = field(repr=False)
-    data: np.ndarray = field(repr=False)
-    axis: int
-    version: int
-
-    @property
-    def fresh(self) -> bool:
-        return self.version == self.source.version
-
-    @property
-    def shape(self) -> tuple[int, ...]:
-        return self.data.shape
-
-
-def acquire(
-    t: Tensor,
-    fmt,
-    axis: int,
-    rounding: str = "nearest",
-    rng: np.random.Generator | None = None,
-) -> QuantizedActivation:
-    """The resident quantized payload of ``t`` for ``(fmt, axis)``.
-
-    Computed at most once per data version for memoizable roles (see
-    :func:`~repro.nn.quantized.memo_quantize`); every later ``acquire``
-    with the same role returns the same array.  ``fmt=None`` wraps the
-    raw data (an FP32 'payload'), so consumers can treat quantized and
-    full-precision operands uniformly.
-    """
-    from .quantized import memo_quantize
-
-    data = memo_quantize(t, fmt, axis, rounding=rounding, rng=rng)
-    return QuantizedActivation(source=t, data=data, axis=axis, version=t.version)
 
 
 # ----------------------------------------------------------------------

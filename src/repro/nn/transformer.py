@@ -69,7 +69,12 @@ class FeedForward(Module):
 
 
 class TransformerBlock(Module):
-    """Pre-norm encoder block: LN -> attention -> LN -> MLP, residual."""
+    """Pre-norm encoder block: LN -> attention -> LN -> MLP, residual.
+
+    ``mlp`` builds the feed-forward, called as ``mlp(dim, hidden, rng=,
+    quant=)`` after the attention has drawn its weights; a mixture of
+    experts (:class:`~repro.models.moe.MoEFeedForward`) fits the slot.
+    """
 
     def __init__(
         self,
@@ -79,12 +84,13 @@ class TransformerBlock(Module):
         dropout: float = 0.0,
         rng: np.random.Generator | None = None,
         quant: QuantSpec | None = None,
+        mlp=FeedForward,
     ):
         super().__init__()
         self.ln1 = LayerNorm(dim)
         self.attn = MultiHeadAttention(dim, num_heads, rng=rng, quant=quant)
         self.ln2 = LayerNorm(dim)
-        self.mlp = FeedForward(dim, hidden, rng=rng, quant=quant)
+        self.mlp = mlp(dim, hidden, rng=rng, quant=quant)
         self.drop = Dropout(dropout, rng=rng)
 
     def forward(self, x: Tensor, mask: np.ndarray | None = None, cache=None) -> Tensor:

@@ -846,13 +846,11 @@ def _register_defaults() -> None:
     from ..models.diffusion import DDPM2D
     from ..models.dlrm import DLRM
     from ..models.gpt import GPT
-    from ..models.moe import MoEGPT
     from ..models.speech import TinyWav2Vec
     from ..models.translation import LSTMSeq2Seq, Seq2SeqTransformer
     from ..models.vision import TinyMobileNet, TinyResNet, TinyViT
 
     register_adapter(GPT, CausalLMAdapter)
-    register_adapter(MoEGPT, CausalLMAdapter)
     register_adapter(BertEncoder, BertEmbedAdapter)
     register_adapter(BertQA, BertSpanAdapter)
     register_adapter(DLRM, CTRAdapter)

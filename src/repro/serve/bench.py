@@ -32,6 +32,12 @@ __all__ = [
 WARMUP_REQUESTS = 2
 
 
+def _require_repeats(repeats: int) -> None:
+    """Refuse a protocol with no timed pass (it could report no ratio)."""
+    if repeats < 1:
+        raise ValueError(f"repeats must be >= 1, got {repeats}")
+
+
 def measure_serving_speedup(
     model,
     requests: list,
@@ -56,6 +62,7 @@ def measure_serving_speedup(
     from ..models.gpt import score_candidates
     from .compile import compile_model
 
+    _require_repeats(repeats)
     pairs = [(r["context"], r["candidates"]) for r in requests]
 
     # --- naive path: per-request legacy calls on a direct-cast model ----
@@ -158,6 +165,7 @@ def measure_forward_speedup(
     from ..nn.residency import fusion_disabled
     from .compile import compile_model
 
+    _require_repeats(repeats)
     lang_vocab = getattr(model, "vocab_size", None)
     lang = SyntheticLanguage(seed=seed)
     if lang_vocab is not None and lang_vocab < lang.vocab_size:
@@ -240,6 +248,7 @@ def measure_decode_speedup(
     from .adapters import TranslationAdapter, adapter_for
     from .compile import compile_model
 
+    _require_repeats(repeats)
     compiled = compile_model(model, fmt)
     adapter = compiled.adapter
     rng = np.random.default_rng(seed)
@@ -339,8 +348,7 @@ def measure_continuous_speedup(
     from ..spec.serving import SessionConfig
     from .compile import compile_model
 
-    if repeats < 1:
-        raise ValueError(f"repeats must be >= 1, got {repeats}")
+    _require_repeats(repeats)
     compiled = compile_model(model, fmt)
     adapter = compiled.adapter
     rng = np.random.default_rng(seed)

@@ -116,13 +116,6 @@ class SessionMetrics:
             self._sections[name] = provider
 
     # ------------------------------------------------------------------
-    def record_batch(self, batch_size: int, latencies: list[float]) -> None:
-        """One executed micro-batch: its size and per-request latencies."""
-        with self._lock:
-            self._batch_sizes.append(int(batch_size))
-            self._latencies.extend(float(l) for l in latencies)
-            self._requests += int(batch_size)
-
     def record_execution(self, batch_size: int) -> None:
         """One model execution of ``batch_size`` requests (occupancy stat).
 

@@ -104,9 +104,10 @@ class PagePool:
             for page in pages:
                 if page not in held:
                     raise ValueError(f"{owner!r} does not hold page {page}")
-            for page in pages:
-                held.discard(page)
-                self._free.append(page)
+            held.difference_update(pages)
+            # pushed descending, so a checkout of as many pops them back
+            # ascending: one run, which a cache reads as a view
+            self._free.extend(sorted(pages, reverse=True))
             self._releases += len(pages)
             if not held:
                 self._owned.pop(owner, None)
@@ -119,7 +120,7 @@ class PagePool:
         """Return every page held by ``owner``; returns how many."""
         with self._lock:
             held = self._owned.pop(owner, set())
-            self._free.extend(held)
+            self._free.extend(sorted(held, reverse=True))  # see release_pages
             self._releases += len(held)
             return len(held)
 

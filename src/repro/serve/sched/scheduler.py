@@ -153,12 +153,8 @@ class ContinuousScheduler:
                 f"attention layers disagree on k1 block size {sorted(k1s)}; "
                 "one page size cannot hold exactly one sealed block for all"
             )
-        page_size = k1s.pop() if k1s else (config.page_size or 16)
-        if config.page_size and config.page_size != page_size:
-            raise ValueError(
-                f"configured page_size {config.page_size} != compiled "
-                f"format's k1 block {page_size}"
-            )
+        # a page holds exactly one sealed k1 block; 16 for unquantized attention
+        page_size = k1s.pop() if k1s else 16
         head_dim = model_cfg.dim // model_cfg.num_heads
         self._pages_per_position_unit = len(blocks)  # pages grow per layer
         per_stream = len(blocks) * (-(-model_cfg.max_len // page_size))

@@ -68,9 +68,6 @@ class SchedulerConfig:
         page_budget: total KV pages in the shared pool; 0 derives a
             budget that lets ``max_streams`` full-length streams coexist
             (so preemption only triggers when explicitly constrained).
-        page_size: positions per page; 0 derives the compiled format's
-            level-1 block size ``k1`` (pages must hold exactly one sealed
-            block), falling back to 16 for unquantized attention.
         max_waiting: bound on the scheduler's waiting queue; 0 keeps it
             unbounded.  The session's ``shed_policy`` decides whether an
             overflow rejects the newcomer or sheds the oldest waiter.
@@ -82,7 +79,6 @@ class SchedulerConfig:
 
     max_streams: int = 64
     page_budget: int = 0
-    page_size: int = 0
     max_waiting: int = 0
     starvation_age_s: float = 0.5
 
@@ -91,8 +87,6 @@ class SchedulerConfig:
             raise ValueError(f"max_streams must be >= 1, got {self.max_streams}")
         if self.page_budget < 0:
             raise ValueError(f"page_budget must be >= 0, got {self.page_budget}")
-        if self.page_size < 0:
-            raise ValueError(f"page_size must be >= 0, got {self.page_size}")
         if self.max_waiting < 0:
             raise ValueError(f"max_waiting must be >= 0, got {self.max_waiting}")
         if self.starvation_age_s < 0:

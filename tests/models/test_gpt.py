@@ -101,7 +101,7 @@ class TestMoE:
         loss.backward()
         assert np.isfinite(float(loss.data))
         # every expert receives gradient through the soft gating
-        for fc1 in model.blocks[0].moe.experts_fc1:
+        for fc1 in model.blocks[0].mlp.experts_fc1:
             assert fc1.weight.grad is not None
 
     def test_more_experts_more_params(self, lang):

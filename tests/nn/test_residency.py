@@ -12,11 +12,9 @@ import repro
 from repro.core.quantize import quantize_call_count, reset_quantize_calls
 from repro.formats.registry import get_format
 from repro.nn.layers import Linear
-from repro.nn.quantized import QuantSpec, quantized_matmul
+from repro.nn.quantized import QuantSpec, memo_quantize, quantized_matmul
 from repro.nn.residency import (
     FusedWeightCache,
-    QuantizedActivation,
-    acquire,
     configure_fusion,
     fusion_disabled,
     fusion_enabled,
@@ -46,37 +44,37 @@ def _fused_on():
         configure_fusion(previous)
 
 
-class TestAcquire:
+class TestMemoQuantize:
+    """The resident payload: ``memo_quantize`` on an activation tensor."""
+
     def test_payload_matches_direct_quantization(self, rng, spec):
         t = Tensor(rng.normal(size=(4, 32)))
-        payload = acquire(t, spec.activation, -1)
+        payload = memo_quantize(t, spec.activation, -1)
         np.testing.assert_array_equal(
-            payload.data, spec.activation.quantize(t.data, axis=-1)
+            payload, spec.activation.quantize(t.data, axis=-1)
         )
-        assert isinstance(payload, QuantizedActivation)
-        assert payload.fresh and payload.axis == -1
 
     def test_shared_across_consumers(self, rng, spec):
         t = Tensor(rng.normal(size=(4, 32)))
         with no_grad():
-            first = acquire(t, spec.activation, -1)
-            second = acquire(t, spec.activation, -1)
-        assert first.data is second.data  # one resident payload
+            first = memo_quantize(t, spec.activation, -1)
+            second = memo_quantize(t, spec.activation, -1)
+        assert first is second  # one resident payload
 
     def test_stale_after_rebind(self, rng, spec):
         t = Tensor(rng.normal(size=(4, 32)))
         with no_grad():
-            payload = acquire(t, spec.activation, -1)
+            payload = memo_quantize(t, spec.activation, -1)
             t.data = rng.normal(size=(4, 32))
-            assert not payload.fresh
-            fresh = acquire(t, spec.activation, -1)
-        assert fresh.fresh
-        assert fresh.data is not payload.data
+            fresh = memo_quantize(t, spec.activation, -1)
+        assert fresh is not payload
+        np.testing.assert_array_equal(
+            fresh, spec.activation.quantize(t.data, axis=-1)
+        )
 
     def test_none_format_passthrough(self, rng):
         t = Tensor(rng.normal(size=(3, 8)))
-        payload = acquire(t, None, -1)
-        assert payload.data is t.data
+        assert memo_quantize(t, None, -1) is t.data
 
 
 class TestResidencyInMatmul:

@@ -16,6 +16,7 @@ import pytest
 from repro.data.synthetic import SyntheticLanguage
 from repro.kernels import get_backend
 from repro.models.gpt import GPT, GPTConfig
+from repro.models.moe import MoEGPT
 from repro.nn.attention import MultiHeadAttention
 from repro.nn.decode import (
     KVCache,
@@ -59,6 +60,12 @@ def lang():
 @pytest.fixture(scope="module")
 def compiled(lang):
     model = GPT(lang.vocab_size, SMALL, rng=np.random.default_rng(0))
+    return compile_model(model, "mx6")
+
+
+@pytest.fixture(scope="module")
+def moe(lang):
+    model = MoEGPT(lang.vocab_size, SMALL, num_experts=3, rng=np.random.default_rng(6))
     return compile_model(model, "mx6")
 
 
@@ -151,6 +158,17 @@ class TestPagePool:
             pool.checkout_pages("b", 2)  # only 1 free: must take none
         assert pool.pages_free() == 1
         assert pool.pages_held("b") == 0
+
+    def test_released_pages_come_back_ascending(self):
+        """Both release paths hand a run back as the same ascending run."""
+        pool = PagePool(num_heads=2, head_dim=4, page_size=16, total_pages=8)
+        for release in (pool.release_pages, lambda owner, _: pool.release_all(owner)):
+            pages = pool.checkout_pages("a", 3)
+            assert pages == sorted(pages)
+            release("a", pages)
+            assert pool.checkout_pages("b", 3) == pages
+            pool.release_all("b")
+        assert pool.leaked() == {}
 
     def test_foreign_release_rejected(self):
         pool = PagePool(num_heads=2, head_dim=4, page_size=16, total_pages=4)
@@ -261,9 +279,28 @@ class TestPagedDecode:
                 capacity=64, spec=block.quant,
             )
 
-    def test_supports_batched_decode(self, compiled, lang):
+    def test_freed_pages_reread_as_views(self, compiled):
+        """A stream checked out into freed pages reads its history as views."""
+        head_dim = SMALL.dim // SMALL.num_heads
+        pool = PagePool(SMALL.num_heads, head_dim, 16, total_pages=8)
+        spec = compiled.model.blocks[0].attn.quant
+        rng = np.random.default_rng(2)
+        with no_grad():
+            for owner in ("a", "b"):
+                cache = PagedKVCache(
+                    pool, owner, SMALL.num_heads, head_dim, capacity=64, spec=spec
+                )
+                kv = rng.normal(size=(1, SMALL.num_heads, 40, head_dim))
+                cache.append(kv, kv, spec=spec)
+                assert np.shares_memory(cache.keys_t, pool.kT)
+                assert np.shares_memory(cache.values, pool.v)
+                cache.free()
+        assert pool.leaked() == {}
+
+    def test_supports_batched_decode(self, compiled, moe, lang):
         with no_grad():
             assert supports_batched_decode(compiled.model)
+            assert supports_batched_decode(moe.model)  # the mixture is row-local
         fp32 = GPT(lang.vocab_size, SMALL, rng=np.random.default_rng(0))
         with no_grad():
             assert not supports_batched_decode(fp32)
@@ -477,10 +514,10 @@ class TestSchedulerConfig:
         with pytest.raises(ValueError):
             SessionConfig(scheduler={"max_streams": 0})
 
-    def test_page_size_mismatch_rejected(self, compiled):
-        cfg = SessionConfig(format="mx6", scheduler={"page_size": 8})
-        with pytest.raises(ValueError):
-            compiled.session(cfg)
+    def test_page_size_is_not_a_knob(self):
+        # pages always hold one k1 block of the compiled format
+        with pytest.raises(ValueError, match="unknown SchedulerConfig keys"):
+            SessionConfig(format="mx6", scheduler={"page_size": 16})
 
 
 # ----------------------------------------------------------------------
@@ -502,6 +539,19 @@ class TestContinuousScheduler:
         assert sched["slo"]["ttft_ms"]["p50"] >= 0.0
         assert summary["decode"]["tokens"] == sum(len(t) for t in truth)
         assert pool.leaked() == {}
+
+    def test_moe_streams_step_packed_bit_identical(self, moe, lang):
+        requests = ragged_requests(lang, 6, seed=4)
+        truth = serial_truth(moe, requests)
+        cfg = SessionConfig(format="mx6", scheduler={"max_streams": 8})
+        with moe.session(cfg) as session:
+            results = session.map(requests)
+            sched = session.summary()["sched"]
+            pool = session._sched.pool
+        assert [r["tokens"] for r in results] == truth
+        assert sched["serial_steps"] == 0  # MoE rides the packed step too
+        assert pool.leaked() == {}
+        assert pool.stats()["pages_used"] == 0
 
     def test_preemption_under_page_pressure_bit_identical(self, compiled, lang):
         requests = ragged_requests(lang, 16, seed=9)
