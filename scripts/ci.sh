@@ -27,6 +27,10 @@ python -m repro list-formats > /dev/null
 python -m repro describe "bdr(m=4,k1=16,d1=8,k2=2,d2=1,ss=pow2)" > /dev/null
 python -m repro describe "mx9?rounding=stochastic" > /dev/null
 python -m repro qsnr mx6 --n-vectors 200 > /dev/null
+# the compiled pow2 kernel is active, and a warm load (the commands above
+# built it if the C source changed) imports no build tooling and starts no
+# process: a broken build would otherwise show only as a 2x slowdown
+python scripts/check_kernel_load.py
 # unknown specs must fail with exit code 2
 if python -m repro describe mx7 2> /dev/null; then
     echo "describe mx7 should have failed" >&2

@@ -12,6 +12,8 @@ setup(
     ),
     package_dir={"": "src"},
     packages=find_packages(where="src"),
+    # the compiled pow2 kernel's source; without it the numpy body runs
+    package_data={"repro.kernels": ["pow2_nearest.c"]},
     python_requires=">=3.10",
     install_requires=["numpy>=1.24"],
 )

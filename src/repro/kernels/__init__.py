@@ -5,7 +5,9 @@ the format adapters, the nn compute flow, and the Figure 7 sweep — dispatches
 through a registered :class:`~repro.kernels.base.KernelBackend`:
 
 * ``"numpy"`` (default): fused, allocation-lean kernels with plan-cached
-  blocking and scratch reuse (:mod:`repro.kernels.numpy_backend`);
+  blocking and scratch reuse (:mod:`repro.kernels.numpy_backend`), whose
+  pow2 nearest-rounding calls run a compiled C kernel when it built
+  (:mod:`repro.kernels.compiled`);
 * ``"reference"``: the original straight-line engine, kept as the
   bit-exactness oracle (:mod:`repro.kernels.reference`).
 

@@ -1,5 +1,12 @@
 """The fused fast-path backend: allocation-lean NumPy kernels.
 
+Pow2-scaled, nearest-rounding ``quantize`` and ``quantize_partial`` calls
+run the compiled kernel of :mod:`repro.kernels.compiled` when it loaded:
+the same operation sequence as :func:`_pow2_fused`, in C, bit for bit and
+in the same output layout.  The numpy code below is the body for every
+other call, and for those calls too where the kernel is absent or declines
+(a block holding inf/NaN).
+
 Bit-exact with the reference backend (enforced by the equivalence suite
 across the whole design space) while doing strictly less work per call:
 
@@ -44,6 +51,7 @@ import numpy as np
 
 from ..core.rounding import apply_rounding
 from ..core.scaling import amax_scale, exponent_range
+from . import compiled
 from .base import KernelBackend, _SQRT_2_OVER_PI, check_epilogue
 from .plan import checkout_scratch, get_plan, release_scratch
 from .reference import ReferenceBackend, _as_fp32, _broadcast_override
@@ -92,6 +100,12 @@ class NumpyBackend(KernelBackend):
                 return _REFERENCE.quantize(
                     x, config, axis, rounding, rng, scale_override, detailed
                 )
+            if rounding == "nearest":
+                # C order exactly where the numpy body would tile
+                c_order = scale_override is None and _tile_rows(x, axis) is not None
+                values = compiled.pow2_nearest(x, config, axis, c_order)
+                if values is not None:
+                    return values
             if x.size <= _SMALL_SIZE:
                 try:
                     return _pow2_noplan(x, config, axis, rounding, rng)
@@ -99,7 +113,7 @@ class NumpyBackend(KernelBackend):
                     return _REFERENCE.quantize(
                         x, config, axis, rounding, rng, scale_override, detailed
                     )
-            if scale_override is None and x.size > 2 * _TILE_ELEMS and x.ndim > 1:
+            if scale_override is None:
                 tiled = self._pow2_tiled(x, config, axis, rounding, rng)
                 if tiled is not None:
                     return tiled
@@ -137,19 +151,16 @@ class NumpyBackend(KernelBackend):
     def _pow2_tiled(self, x, config, axis, rounding, rng):
         """Chunk a large pow2 quantization along a non-block axis.
 
-        Returns ``None`` when no useful split exists (the block axis is
-        the only non-trivial one, or one row already exceeds the tile
-        target).  Each chunk re-enters :meth:`quantize` — so per-chunk
-        non-finite fallbacks and rounding semantics are exactly those of
-        the whole-array call — and lands in a preallocated output.
+        Returns ``None`` when :func:`_tile_rows` finds no useful split.
+        Each chunk re-enters :meth:`quantize` — so per-chunk non-finite
+        fallbacks and rounding semantics are exactly those of the
+        whole-array call — and lands in a preallocated C-order output.
         """
-        axis = axis % x.ndim
-        split = 0 if axis != 0 else 1
-        rows = x.shape[split]
-        per_row = x.size // rows
-        chunk = max(1, _TILE_ELEMS // per_row)
-        if rows <= chunk or per_row > _TILE_ELEMS:
+        tiling = _tile_rows(x, axis)
+        if tiling is None:
             return None
+        split, chunk = tiling
+        rows = x.shape[split]
         out = np.empty(x.shape, dtype=np.float64)
         index = [slice(None)] * x.ndim
         for start in range(0, rows, chunk):
@@ -161,16 +172,21 @@ class NumpyBackend(KernelBackend):
     def quantize_partial(self, x, config, axis, rounding, rng):
         """Partial-block entry point (see :meth:`KernelBackend.quantize_partial`).
 
-        Routes pow2 configs through the plan-free fused kernel regardless of
-        size: KV-cache tail shapes change every decode step, and feeding
-        them to the plan LRU would evict the steady-state training/serving
-        plans.  Software-scaled and wide-exponent configs fall back to the
-        generic path (bit-identical by the backend contract).
+        Routes pow2 configs through the compiled kernel (nearest rounding)
+        or the plan-free fused kernel regardless of size: KV-cache tail
+        shapes change every decode step, and feeding them to the plan LRU
+        would evict the steady-state training/serving plans.
+        Software-scaled and wide-exponent configs fall back to the generic
+        path (bit-identical by the backend contract).
         """
         if config.m > 50 or config.s_type != "pow2":
             return self.quantize(x, config, axis, rounding, rng, None, False)
         if not _pow2_exponents_safe(config):
             return _REFERENCE.quantize(x, config, axis, rounding, rng, None, False)
+        if rounding == "nearest":
+            values = compiled.pow2_nearest(x, config, axis, False)
+            if values is not None:
+                return values
         try:
             return _pow2_noplan(x, config, axis, rounding, rng)
         except _NonFiniteInput:
@@ -217,6 +233,24 @@ def _gelu_inplace(out: np.ndarray) -> None:
         out *= 0.5
     finally:
         release_scratch(scratch)
+
+
+def _tile_rows(x, axis) -> tuple[int, int] | None:
+    """``(split axis, rows per chunk)`` for :meth:`NumpyBackend._pow2_tiled`.
+
+    ``None`` when the call is too small to tile or no useful split exists
+    (the block axis is the only non-trivial one, or one row already
+    exceeds the tile target).
+    """
+    if x.size <= 2 * _TILE_ELEMS or x.ndim < 2:
+        return None
+    split = 0 if axis % x.ndim != 0 else 1
+    rows = x.shape[split]
+    per_row = x.size // rows
+    chunk = max(1, _TILE_ELEMS // per_row)
+    if rows <= chunk or per_row > _TILE_ELEMS:
+        return None
+    return split, chunk
 
 
 def _pow2_exponents_safe(config) -> bool:

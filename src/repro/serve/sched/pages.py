@@ -97,13 +97,20 @@ class PagePool:
         return self.checkout_pages(owner, 1)[0]
 
     def release_pages(self, owner: str, pages) -> None:
-        """Return specific ``pages`` held by ``owner`` to the free list."""
+        """Return specific ``pages`` held by ``owner`` to the free list.
+
+        Raises :class:`ValueError`, changing nothing, when a page is not
+        held by ``owner`` or appears twice (a repeat would sit on the free
+        list twice and later go to two owners at once).
+        """
         pages = list(pages)
         with self._lock:
             held = self._owned.get(owner, set())
             for page in pages:
                 if page not in held:
                     raise ValueError(f"{owner!r} does not hold page {page}")
+            if len(set(pages)) != len(pages):
+                raise ValueError(f"{owner!r} releases a page twice: {pages}")
             held.difference_update(pages)
             # pushed descending, so a checkout of as many pops them back
             # ascending: one run, which a cache reads as a view

@@ -6,16 +6,23 @@ all rounding modes, non-divisible axis lengths (the padding path),
 non-trailing axes, empty inputs, all-zero blocks, extreme dynamic ranges
 (subnormal and near-overflow data), and the software-scaled INT/VSQ paths
 with and without scale overrides.
+
+The numpy backend has two pow2 nearest-rounding bodies: the compiled kernel
+(:mod:`repro.kernels.compiled`) and the numpy code that runs where it did
+not load.  The fast side of every comparison runs on both, the numpy body
+forced by the loader's test seam; the two must agree bit for
+bit (sign of zero included) and in memory layout, which later BLAS
+products read.
 """
 
 import numpy as np
 import pytest
 
 from repro.core.bdr import BDRConfig
-from repro.core.quantize import bdr_quantize, bdr_quantize_detailed
+from repro.core.quantize import bdr_quantize, bdr_quantize_detailed, bdr_quantize_partial
 from repro.core.rounding import ROUNDING_MODES
 from repro.fidelity.sweep import bdr_design_space
-from repro.kernels import use_backend
+from repro.kernels import compiled, use_backend
 
 DESIGN_SPACE = bdr_design_space()
 
@@ -37,17 +44,51 @@ REPRESENTATIVE = [
 ] + SOFTWARE_CONFIGS
 
 
+#: pow2 points off the sweep grid: 1,024 sub-blocks per block, blocks (and
+#: sub-blocks) of one element, and a pow2 block scale over an INT sub-scale,
+#: which every body quantizes at one level
+EDGE_CONFIGS = [
+    BDRConfig(m=3, k1=1024, d1=8, k2=1, d2=1, ss_type="pow2"),
+    BDRConfig(m=4, k1=1, d1=8, k2=1, d2=1, ss_type="pow2"),
+    BDRConfig.bfp(m=5, k1=1),
+    BDRConfig(m=4, k1=16, d1=8, s_type="pow2", k2=2, d2=3, ss_type="int"),
+]
+
+POW2_CONFIGS = [c for c in REPRESENTATIVE if c.s_type == "pow2"] + EDGE_CONFIGS
+
+
+def assert_same_bits(a, b, msg=""):
+    """Equal bit patterns (so ``-0.0 != 0.0``) and equal memory layout."""
+    assert a.shape == b.shape and a.strides == b.strides, msg
+    np.testing.assert_array_equal(a.view(np.int64), b.view(np.int64), err_msg=msg)
+
+
+def fast_side(run, label=""):
+    """``run()`` on the numpy backend, once per pow2 body; the bodies must
+    agree bit for bit.  Returns the compiled body's output."""
+    with use_backend("numpy"):
+        fast = run()
+        with compiled._numpy_body():
+            slow = run()
+    assert_same_bits(fast, slow, label)
+    return fast
+
+
 def both_backends(x, config, **kwargs):
     with use_backend("reference"):
         ref = bdr_quantize(x, config, **kwargs)
-    with use_backend("numpy"):
-        fast = bdr_quantize(x, config, **kwargs)
+    fast = fast_side(lambda: bdr_quantize(x, config, **kwargs), config.label)
     return ref, fast
 
 
 def assert_bit_exact(x, config, **kwargs):
     ref, fast = both_backends(x, config, **kwargs)
     np.testing.assert_array_equal(ref, fast, err_msg=config.label)
+
+
+def requires_kernel():
+    if compiled.kernel_path() is None:
+        pytest.skip("the compiled kernel is not loaded here")
 
 
 @pytest.mark.parametrize("config", DESIGN_SPACE, ids=lambda c: c.label)
@@ -76,8 +117,10 @@ def test_rounding_modes(config, mode):
     x = rng.normal(size=(4, 2 * config.k1 + 5))
     with use_backend("reference"):
         ref = bdr_quantize(x, config, rounding=mode, rng=np.random.default_rng(11))
-    with use_backend("numpy"):
-        fast = bdr_quantize(x, config, rounding=mode, rng=np.random.default_rng(11))
+    fast = fast_side(
+        lambda: bdr_quantize(x, config, rounding=mode, rng=np.random.default_rng(11)),
+        f"{config.label} {mode}",
+    )
     np.testing.assert_array_equal(ref, fast, err_msg=f"{config.label} {mode}")
 
 
@@ -168,26 +211,24 @@ def test_detailed_decomposition_matches(config):
 @pytest.mark.parametrize("config", DESIGN_SPACE[::5], ids=lambda c: c.label)
 def test_partial_block_entry_bit_exact(config):
     """The decode-path partial-block entry == the generic quantize, on both
-    backends, for every partial length up to one full block."""
-    from repro.core.quantize import bdr_quantize_partial
-
+    backends (and both pow2 bodies), for every partial length up to one
+    full block."""
     rng = np.random.default_rng(9)
     for length in {1, config.k1 // 2 or 1, config.k1}:
         x = rng.normal(size=(3, length)) * np.exp2(
             rng.integers(-40, 40, size=(3, 1)).astype(np.float64)
         )
-        for backend in ("numpy", "reference"):
-            with use_backend(backend):
-                generic = bdr_quantize(x, config)
-                partial = bdr_quantize_partial(x, config)
-            np.testing.assert_array_equal(
-                generic, partial, err_msg=f"{config.label} len={length} {backend}"
-            )
+        label = f"{config.label} len={length}"
+        with use_backend("reference"):
+            generic = bdr_quantize(x, config)
+            partial = bdr_quantize_partial(x, config)
+        np.testing.assert_array_equal(generic, partial, err_msg=f"{label} reference")
+        generic = fast_side(lambda: bdr_quantize(x, config), label)
+        partial = fast_side(lambda: bdr_quantize_partial(x, config), label)
+        np.testing.assert_array_equal(generic, partial, err_msg=f"{label} numpy")
 
 
 def test_partial_block_entry_rejects_overlong_axis():
-    from repro.core.quantize import bdr_quantize_partial
-
     config = BDRConfig.mx(m=4, k1=16)
     with pytest.raises(ValueError, match="k1"):
         bdr_quantize_partial(np.zeros((2, 17)), config)
@@ -195,15 +236,12 @@ def test_partial_block_entry_rejects_overlong_axis():
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # deliberate inf corner
 def test_partial_block_nonfinite_falls_back_to_reference():
-    from repro.core.quantize import bdr_quantize_partial
-
     config = BDRConfig.mx(m=4, k1=16)
     x = np.ones((2, 8))
     x[0, 3] = np.inf
     with use_backend("reference"):
         ref = bdr_quantize(x, config)
-    with use_backend("numpy"):
-        part = bdr_quantize_partial(x, config)
+    part = fast_side(lambda: bdr_quantize_partial(x, config))
     np.testing.assert_array_equal(ref, part)
 
 
@@ -225,7 +263,110 @@ def test_fast_values_match_detailed_reconstruction():
     x = rng.normal(size=(4, 64))
     with use_backend("reference"):
         detail = bdr_quantize_detailed(x, config)
-    with use_backend("numpy"):
-        fast = bdr_quantize(x, config)
+    fast = fast_side(lambda: bdr_quantize(x, config))
     reconstructed = (detail.codes * detail.step).reshape(x.shape)
     np.testing.assert_array_equal(reconstructed, fast)
+
+
+# ----------------------------------------------------------------------
+# The compiled pow2 body: geometry, edge configs, and its agreement with
+# the numpy body over the design space
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize("config", POW2_CONFIGS, ids=lambda c: c.label)
+@pytest.mark.parametrize("shape", [(3, 5, 7), (2, 3, 4, 5)], ids=["3d", "4d"])
+def test_every_axis_of_3d_and_4d_inputs(config, shape):
+    rng = np.random.default_rng(12)
+    for axis in range(len(shape)):
+        grown = list(shape)
+        grown[axis] = 2 * config.k1 + 3  # whole blocks plus a partial one
+        x = rng.normal(size=grown) * np.exp2(rng.integers(-30, 30, size=grown))
+        assert_bit_exact(x, config, axis=axis)
+        assert_bit_exact(x, config, axis=axis - len(shape))
+
+
+@pytest.mark.parametrize("config", POW2_CONFIGS, ids=lambda c: c.label)
+def test_non_contiguous_inputs(config):
+    """Transposed, strided and offset views: the kernel reads a contiguous
+    copy, and the output's layout still follows the numpy body's."""
+    rng = np.random.default_rng(13)
+    base = rng.normal(size=(6, 2 * config.k1 + 5, 4))
+    views = [base.T, base[:, ::2], base[1:, 3:-1, ::3], np.asfortranarray(base),
+             base.transpose(1, 0, 2)]
+    for x in views:
+        assert not x.flags.c_contiguous
+        # short axes would pad each element to a k1=1024 block on the
+        # reference side; the long one covers that config
+        axes = range(x.ndim) if config.k1 <= 64 else [int(np.argmax(x.shape))]
+        for axis in axes:
+            assert_bit_exact(x, config, axis=axis)
+
+
+@pytest.mark.parametrize("config", POW2_CONFIGS, ids=lambda c: c.label)
+def test_partial_block_every_length(config):
+    """quantize_partial at lengths 1..k1, trailing and middle axes."""
+    rng = np.random.default_rng(14)
+    for length in range(1, config.k1 + 1):
+        for shape, axis in [((3, length), -1), ((2, length, 3), 1)]:
+            x = rng.normal(size=shape)
+            with use_backend("reference"):
+                ref = bdr_quantize(x, config, axis=axis)
+            fast = fast_side(lambda: bdr_quantize_partial(x, config, axis=axis),
+                             f"{config.label} len={length}")
+            np.testing.assert_array_equal(ref, fast, err_msg=f"{config.label} len={length}")
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # deliberate inf/NaN
+@pytest.mark.parametrize("poison", [np.inf, -np.inf, np.nan])
+def test_compiled_kernel_declines_non_finite_blocks(poison):
+    """A block holding inf/NaN makes the kernel decline the whole call; the
+    backend then runs the numpy body, which hands it to the reference."""
+    requires_kernel()
+    config = BDRConfig.mx(m=4)
+    x = np.random.default_rng(15).normal(size=(3, 40))
+    assert compiled.pow2_nearest(x, config, -1, False) is not None
+    x[2, 37] = poison  # in the last, partial block
+    assert compiled.pow2_nearest(x, config, -1, False) is None
+    ref, fast = both_backends(x, config)
+    np.testing.assert_array_equal(ref, fast)
+
+
+def test_compiled_kernel_widens_other_dtypes():
+    """The kernel reads doubles: a float32 input is widened before its
+    pointer reaches C, and quantizes to the float64 input's bits."""
+    requires_kernel()
+    x = np.random.default_rng(17).normal(size=(3, 40)).astype(np.float32)
+    config = BDRConfig.mx(m=4)
+    assert_same_bits(compiled.pow2_nearest(x, config, -1, False),
+                     compiled.pow2_nearest(x.astype(np.float64), config, -1, False))
+
+
+def _value_kinds(rng, shape):
+    x = rng.normal(size=shape)
+    signed_zeros = x.copy()
+    signed_zeros.flat[::3] = 0.0
+    signed_zeros.flat[1::3] = -0.0
+    huge = x * 1e300
+    huge.flat[::2] = -1e300
+    return {
+        "normal": x,
+        "wide": x * np.exp2(rng.integers(-60, 60, size=shape)),
+        "signed_zeros": signed_zeros,
+        "subnormal": x * 1e-310,
+        "tiny": -np.abs(x) * 1e-30,  # rounds to -0.0 on the reference
+        "huge": huge,
+    }
+
+
+@pytest.mark.parametrize("config", DESIGN_SPACE + EDGE_CONFIGS, ids=lambda c: c.label)
+def test_bodies_bitwise_equal_over_design_space(config):
+    """The compiled body equals the numpy body bit for bit (``int64`` views,
+    so the sign of zero counts) and in layout, on every sweep point and
+    every edge config."""
+    requires_kernel()
+    rng = np.random.default_rng(16)
+    for shape, axis in [((3, 2 * config.k1 + 1), -1), ((5, config.k1 + 2, 2), 1),
+                        ((config.k1, 3), 0)]:
+        for kind, x in _value_kinds(rng, shape).items():
+            label = f"{config.label} {shape} axis={axis} {kind}"
+            fast_side(lambda: bdr_quantize(x, config, axis=axis), label)
+            fast_side(lambda: bdr_quantize_partial(x[..., :1], config, axis=-1), label)

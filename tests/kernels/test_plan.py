@@ -74,9 +74,10 @@ class TestCache:
         assert plan_cache_info()["size"] == MAX_PLANS
 
     def test_quantize_populates_cache(self):
-        # large enough to clear the small-array plan-free path
+        # large enough to clear the small-array plan-free path; VSQ, because
+        # pow2 nearest-rounding calls run the compiled kernel and never plan
         x = np.random.default_rng(1).normal(size=(256, 64))
-        config = BDRConfig.mx(m=4)
+        config = BDRConfig.vsq(m=5, d2=6, k1=64, k2=16)
         with use_backend("numpy"):
             bdr_quantize(x, config)
             first = plan_cache_info()

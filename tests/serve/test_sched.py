@@ -180,6 +180,19 @@ class TestPagePool:
         pool.release_page("a", page)
         assert pool.leaked() == {}
 
+    def test_repeated_page_release_rejected(self):
+        """A page named twice in one release changes nothing: pushed twice,
+        it would later be checked out to two slots at once."""
+        pool = PagePool(num_heads=2, head_dim=4, page_size=16, total_pages=4)
+        page, other = pool.checkout_pages("a", 2)
+        with pytest.raises(ValueError, match="twice"):
+            pool.release_pages("a", [page, page])
+        assert pool.pages_free() == 2
+        assert pool.pages_held("a") == 2
+        pool.release_pages("a", [page, other])
+        everything = pool.checkout_pages("b", pool.pages_free())
+        assert sorted(everything) == [0, 1, 2, 3]
+
     def test_leak_detection(self):
         pool = PagePool(num_heads=2, head_dim=4, page_size=16, total_pages=4)
         pool.checkout_pages("s0", 2)
