@@ -85,6 +85,12 @@ def measure_qsnr(
     boundaries, so the result is bit-identical to the sequential path —
     just an order of magnitude fewer kernel invocations.
 
+    Ensembles up to :data:`MAX_CACHED_ENSEMBLE_BYTES` are memoized, and so
+    is their signal power, which does not depend on the format: a sweep
+    sums it once, not once per design point.  The noise of each chunk is
+    summed in one reused chunk-sized buffer.  Larger requests stream chunk
+    by chunk and memoize nothing.
+
     Args:
         fmt: any :class:`~repro.formats.base.Format`, or any spec spelling
             accepted by :func:`repro.spec.as_format` (``"mx6"``,
@@ -120,23 +126,20 @@ def measure_qsnr(
             remaining -= n
     else:
         x, sizes = _sample_ensemble(distribution, n_vectors, length, seed, chunk)
-        if fmt.is_stateless and len(sizes) > 1:
+        signal = _ensemble_signal(distribution, n_vectors, length, seed, chunk)
+        batched = fmt.is_stateless and len(sizes) > 1
+        if batched:
             q = fmt.quantize(x, axis=-1)
-            offset = 0
-            for n in sizes:
-                xc = x[offset : offset + n]
-                qc = q[offset : offset + n]
-                noise += float(np.sum((qc - xc) ** 2))
-                signal += float(np.sum(xc**2))
-                offset += n
-        else:
-            offset = 0
-            for n in sizes:
-                xc = x[offset : offset + n]
-                q = fmt.quantize(xc, axis=-1)
-                noise += float(np.sum((q - xc) ** 2))
-                signal += float(np.sum(xc**2))
-                offset += n
+        # np.sum((qc - xc) ** 2) without its two temporaries: the same
+        # values in the same C-contiguous layout, so the same pairwise sum
+        buf = np.empty((max(sizes, default=0), length))
+        offset = 0
+        for n in sizes:
+            xc = x[offset : offset + n]
+            qc = q[offset : offset + n] if batched else fmt.quantize(xc, axis=-1)
+            err = np.subtract(qc, xc, out=buf[:n])
+            noise += float(np.square(err, out=err).sum())
+            offset += n
 
     if signal <= 0.0:
         return QSNR_FLOOR
@@ -175,6 +178,20 @@ def _cached_ensemble(distribution, n_vectors, length, seed, chunk):
     return _build_ensemble(distribution, n_vectors, length, seed, chunk)
 
 
+@lru_cache(maxsize=4)
+def _ensemble_signal(distribution, n_vectors, length, seed, chunk) -> float:
+    """Signal power of one memoized ensemble, summed chunk by chunk as the
+    noise is: the same for every format measured on it, so a sweep sums it
+    once instead of once per design point."""
+    x, sizes = _cached_ensemble(distribution, n_vectors, length, seed, chunk)
+    signal = 0.0
+    offset = 0
+    for n in sizes:
+        signal += float(np.sum(x[offset : offset + n] ** 2))
+        offset += n
+    return signal
+
+
 def _build_ensemble(
     distribution: str, n_vectors: int, length: int, seed: int, chunk: int
 ) -> tuple[np.ndarray, tuple[int, ...]]:
@@ -194,5 +211,7 @@ def _build_ensemble(
 
 
 def clear_ensemble_cache() -> None:
-    """Drop memoized measurement ensembles (frees their memory)."""
+    """Drop memoized measurement ensembles and their signal powers (frees
+    their memory)."""
     _cached_ensemble.cache_clear()
+    _ensemble_signal.cache_clear()

@@ -1,12 +1,16 @@
-"""The compiled pow2 nearest-rounding quantize kernel (cffi + gcc).
+"""The compiled nearest-rounding quantize kernel (cffi + gcc).
 
-``pow2_nearest.c`` runs the numpy backend's pow2 operation sequence
-(``_pow2_fused``) element by element in C, so its outputs equal the numpy
-body's bit for bit while a call costs microseconds instead of tens of
-them.  :class:`~repro.kernels.numpy_backend.NumpyBackend` routes every
-pow2-scaled, nearest-rounding ``quantize`` and ``quantize_partial`` call
-through :func:`pow2_nearest`, and runs its numpy body whenever that
-declines.  Nothing selects it: it runs when it built and loaded.
+``pow2_nearest.c`` holds two bodies, one extension module for both.  The
+pow2 body runs the numpy backend's pow2 operation sequence
+(``_pow2_fused``) element by element in C, and the FP32-scaled body runs
+its scaled INT and VSQ sequences (``_int_fused``, ``_vsq_fused``), so
+their outputs equal the numpy body's bit for bit while a call costs
+microseconds instead of tens of them.
+:class:`~repro.kernels.numpy_backend.NumpyBackend` routes every
+nearest-rounding pow2-scaled ``quantize`` and ``quantize_partial`` call
+through :func:`pow2_nearest`, and every nearest-rounding fp32-scaled one
+through :func:`scaled_nearest`, and runs its numpy body whenever those
+decline.  Nothing selects them: they run when the kernel built and loaded.
 
 Build once, load many times:
 
@@ -44,8 +48,9 @@ from pathlib import Path
 import numpy as np
 
 from ..core.scaling import exponent_range
+from .reference import _as_fp32
 
-__all__ = ["pow2_nearest", "kernel_path"]
+__all__ = ["pow2_nearest", "scaled_nearest", "kernel_path"]
 
 SOURCE = Path(__file__).with_name("pow2_nearest.c")
 CDEF = """
@@ -54,6 +59,11 @@ int repro_pow2_nearest(const double *x, double *out,
                        int64_t os_outer, int64_t os_n, int64_t os_inner,
                        int64_t k1, int64_t k2, int64_t lo, int64_t hi,
                        int64_t beta, int64_t m, double qmax);
+int repro_scaled_nearest(const double *x, double *out,
+                         int64_t outer, int64_t n, int64_t inner,
+                         int64_t os_outer, int64_t os_n, int64_t os_inner,
+                         int64_t k1, int64_t k2, double qmax, double ssq,
+                         int64_t jit, double scale);
 """
 #: Exactness flags: no contraction into fused multiply-adds, no fast-math;
 #: and no ``-march=native``, so a cached build runs on any CPU of its ABI.
@@ -245,5 +255,52 @@ def pow2_nearest(x: np.ndarray, config, axis: int, c_order: bool) -> np.ndarray 
         _FFI.from_buffer("double[]", x), _FFI.from_buffer("double[]", out, True),
         outer, n, inner, *strides, k1, config.k2, lo, hi, beta, config.m,
         config.qmax,
+    )
+    return None if status else view
+
+
+def scaled_nearest(x: np.ndarray, config, axis: int, scale_override) -> np.ndarray | None:
+    """Quantize ``x`` (non-empty; other dtypes are widened to float64) with
+    the compiled FP32-scaled body: scaled INT at one level, or VSQ when
+    ``config.ss_type == "int"``.
+
+    ``config`` is an fp32-scaled config with ``m <= 50``.  ``scale_override``
+    is ``None`` (each block derives its scale) or a scalar, rounded to fp32
+    here as the numpy body rounds it.  The result is laid out as
+    :func:`pow2_nearest` lays out its own, never in C order (the numpy body
+    does not tile these configs).  Returns ``None`` when the kernel is not
+    loaded, the override is array-valued or negative, or a block holds
+    inf/NaN: the caller then runs the numpy body.  (A negative scale can
+    make a VSQ sub-code ``-0.0``, which ``np.clip`` against 0 keeps on
+    numpy 2 and turns into ``+0.0`` on numpy 1; the C body follows
+    numpy 2.)
+    """
+    lib = _LIB if _LOADED else _kernel()
+    if lib is None or np.ndim(scale_override):
+        return None
+    jit = scale_override is None
+    scale = 0.0 if jit else float(_as_fp32(np.asarray(scale_override, dtype=_FLOAT64)))
+    if scale < 0.0:
+        return None
+    # pow2_nearest's geometry and layout without its C-order case; not
+    # shared, as a helper call costs a 24-element pow2 call about 8%
+    shape = x.shape
+    last = len(shape) - 1
+    axis %= len(shape)
+    n = shape[axis]
+    inner = 1 if axis == last else math.prod(shape[axis + 1:])
+    if x.dtype is not _FLOAT64 or not x.flags.c_contiguous:  # C reads doubles
+        x = np.ascontiguousarray(x, dtype=_FLOAT64)
+    width = n + (-n) % config.k1
+    out = view = np.empty(shape[:axis] + shape[axis + 1:] + (width,))
+    if width != n:
+        view = view[..., :n]
+    if axis != last:
+        view = view.transpose((*range(axis), last, *range(axis, last)))
+    ss_qmax = (1 << config.d2) - 1 if config.ss_type == "int" else 0
+    status = lib.repro_scaled_nearest(
+        _FFI.from_buffer("double[]", x), _FFI.from_buffer("double[]", out, True),
+        x.size // (n * inner), n, inner, inner * width, 1, width,
+        config.k1, config.k2, config.qmax, ss_qmax, jit, scale,
     )
     return None if status else view

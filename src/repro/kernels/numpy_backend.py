@@ -1,11 +1,13 @@
 """The fused fast-path backend: allocation-lean NumPy kernels.
 
-Pow2-scaled, nearest-rounding ``quantize`` and ``quantize_partial`` calls
-run the compiled kernel of :mod:`repro.kernels.compiled` when it loaded:
-the same operation sequence as :func:`_pow2_fused`, in C, bit for bit and
-in the same output layout.  The numpy code below is the body for every
-other call, and for those calls too where the kernel is absent or declines
-(a block holding inf/NaN).
+Nearest-rounding ``quantize`` and ``quantize_partial`` calls run the
+compiled kernel of :mod:`repro.kernels.compiled` when it loaded: pow2-scaled
+configs the same operation sequence as :func:`_pow2_fused`, fp32-scaled
+ones (scaled INT, VSQ) that of :func:`_int_fused` / :func:`_vsq_fused`,
+in C, bit for bit and in the same output layout.  The numpy code below is
+the body for every other call, and for those calls too where the kernel
+is absent or declines (a block holding inf/NaN, an array-valued or
+negative scale override).
 
 Bit-exact with the reference backend (enforced by the equivalence suite
 across the whole design space) while doing strictly less work per call:
@@ -33,9 +35,12 @@ Exactness notes.  The bit tricks change *intermediate* encodings, never
 post-clip results: (1) subnormal block maxima read as exponent ``-1023``
 rather than the reference's zero sentinel, but both land on the clamp
 bottom whenever the ``d1`` exponent range sits inside the normal float64
-range; (2) the magic-number shift equals ``np.rint`` exactly for
-``|q| <= 2**51`` and may differ by one ulp-of-one beyond that — where both
-results saturate to ``qmax`` after clipping anyway.  Configs whose
+range; (2) the magic-number shift equals
+:func:`~repro.core.rounding.round_nearest_even` (``np.rint(q) + 0.0``) bit
+for bit for ``|q| <= 2**51``, zero results included: both give +0.0 where
+``np.rint`` alone gives -0.0.  Beyond ``2**51`` it may differ by one
+ulp-of-one — where both results saturate to ``qmax`` after clipping
+anyway.  Configs whose
 exponent ranges violate these preconditions (``d1`` wider than ~11 bits on
 a pow2 scale, ``m > 50``) delegate to the reference backend, as do
 ``detailed`` requests — inspection calls off the hot path, delegated so
@@ -117,6 +122,10 @@ class NumpyBackend(KernelBackend):
                 tiled = self._pow2_tiled(x, config, axis, rounding, rng)
                 if tiled is not None:
                     return tiled
+        elif rounding == "nearest":
+            values = compiled.scaled_nearest(x, config, axis, scale_override)
+            if values is not None:
+                return values
 
         plan = get_plan(x.shape, axis, config.k1, config.k2, x.dtype)
         blocked = plan.block(x)
@@ -469,8 +478,9 @@ def _vsq_fused(blocked, work, plan, config, rounding, rng, scale_override):
 def _round_inplace(buf, mode, rng):
     """Round ``buf`` to integer codes in place.
 
-    ``nearest`` uses the magic-number shift (identical to ``np.rint`` up to
-    clip saturation — see the module docstring); ``truncate`` is a single
+    ``nearest`` uses the magic-number shift (identical to
+    :func:`~repro.core.rounding.round_nearest_even` up to clip saturation —
+    see the module docstring); ``truncate`` is a single
     ``np.trunc`` pass; stochastic and unknown modes go through
     :func:`~repro.core.rounding.apply_rounding` for identical semantics.
     """

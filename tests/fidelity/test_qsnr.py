@@ -144,6 +144,20 @@ class TestBatchedMeasureQsnr:
         assert measure_qsnr(get_format("mx6"), n_vectors=600, seed=4) == stateless
         assert measure_qsnr(get_format("int8"), n_vectors=600, seed=4) == stateful
 
+    def test_signal_power_is_memoized_beside_the_ensemble(self):
+        """One signal-power sum per ensemble, whatever the format; dropped
+        with the ensemble by clear_ensemble_cache."""
+        import importlib
+
+        qsnr_mod = importlib.import_module("repro.fidelity.qsnr")
+        qsnr_mod.clear_ensemble_cache()
+        measure_qsnr(get_format("mx6"), n_vectors=300, seed=5)
+        measure_qsnr(get_format("int8"), n_vectors=300, seed=5)
+        info = qsnr_mod._ensemble_signal.cache_info()
+        assert (info.misses, info.hits) == (1, 1)
+        qsnr_mod.clear_ensemble_cache()
+        assert qsnr_mod._ensemble_signal.cache_info().currsize == 0
+
     def test_stateful_formats_stay_sequential(self):
         """Delayed scaling depends on chunk order; it must keep the loop
         (and therefore keep matching its own historical values)."""

@@ -1,4 +1,4 @@
-"""The compiled pow2 kernel's loader: warm loads, racing cold builds and the
+"""The compiled kernel's loader: warm loads, racing cold builds and the
 fallbacks to the numpy body.  Each load runs in a fresh interpreter."""
 
 import importlib.util
@@ -33,7 +33,9 @@ from repro.core.quantize import bdr_quantize, bdr_quantize_partial
 from repro.kernels import compiled
 x = np.random.default_rng(0).normal(size=(4, 37))
 outs = [bdr_quantize(x, MX6), bdr_quantize(x, BDRConfig.bfp(m=7), axis=0),
-        bdr_quantize_partial(x[:, :9], MX6)]
+        bdr_quantize_partial(x[:, :9], MX6),
+        bdr_quantize(x, BDRConfig.int_sw(m=7, k1=16), scale_override=0.01),
+        bdr_quantize(x, BDRConfig.vsq(m=5, d2=6, k1=64, k2=16), axis=0)]
 print(json.dumps({"kernel": compiled.kernel_path(),
                   "bits": [o.view(np.int64).tolist() for o in outs]}))
 """
@@ -42,7 +44,9 @@ print(json.dumps({"kernel": compiled.kernel_path(),
 def probe_bits():
     x = np.random.default_rng(0).normal(size=(4, 37))
     outs = [bdr_quantize(x, MX6), bdr_quantize(x, BDRConfig.bfp(m=7), axis=0),
-            bdr_quantize_partial(x[:, :9], MX6)]
+            bdr_quantize_partial(x[:, :9], MX6),
+            bdr_quantize(x, BDRConfig.int_sw(m=7, k1=16), scale_override=0.01),
+            bdr_quantize(x, BDRConfig.vsq(m=5, d2=6, k1=64, k2=16), axis=0)]
     return [o.view(np.int64).tolist() for o in outs]
 
 
@@ -86,6 +90,7 @@ def test_warm_load_imports_no_build_tooling_and_starts_nothing():
     )
     report = json.loads(done.stdout.strip().splitlines()[-1])
     assert report["kernel"] is not None
+    assert report["served"] == {"VSQ6": True, "scaled INT8": True}
     assert report["imported"] == [] and report["spawned"] == []
     assert done.returncode == 0
 

@@ -7,12 +7,13 @@ non-trailing axes, empty inputs, all-zero blocks, extreme dynamic ranges
 (subnormal and near-overflow data), and the software-scaled INT/VSQ paths
 with and without scale overrides.
 
-The numpy backend has two pow2 nearest-rounding bodies: the compiled kernel
+The numpy backend has two nearest-rounding bodies for pow2-scaled and
+fp32-scaled (INT, VSQ) configs: the compiled kernel
 (:mod:`repro.kernels.compiled`) and the numpy code that runs where it did
 not load.  The fast side of every comparison runs on both, the numpy body
 forced by the loader's test seam; the two must agree bit for
 bit (sign of zero included) and in memory layout, which later BLAS
-products read.
+products read.  The fast side must equal the reference bit for bit too.
 """
 
 import numpy as np
@@ -21,6 +22,7 @@ import pytest
 from repro.core.bdr import BDRConfig
 from repro.core.quantize import bdr_quantize, bdr_quantize_detailed, bdr_quantize_partial
 from repro.core.rounding import ROUNDING_MODES
+from repro.fidelity.distributions import sample
 from repro.fidelity.sweep import bdr_design_space
 from repro.kernels import compiled, use_backend
 
@@ -64,8 +66,8 @@ def assert_same_bits(a, b, msg=""):
 
 
 def fast_side(run, label=""):
-    """``run()`` on the numpy backend, once per pow2 body; the bodies must
-    agree bit for bit.  Returns the compiled body's output."""
+    """``run()`` on the numpy backend, once per body; the bodies must agree
+    bit for bit.  Returns the compiled body's output."""
     with use_backend("numpy"):
         fast = run()
         with compiled._numpy_body():
@@ -82,8 +84,10 @@ def both_backends(x, config, **kwargs):
 
 
 def assert_bit_exact(x, config, **kwargs):
+    """Fast equals reference in bit patterns (so ``-0.0 != 0.0``)."""
     ref, fast = both_backends(x, config, **kwargs)
-    np.testing.assert_array_equal(ref, fast, err_msg=config.label)
+    np.testing.assert_array_equal(ref.view(np.int64), fast.view(np.int64),
+                                  err_msg=config.label)
 
 
 def requires_kernel():
@@ -121,7 +125,8 @@ def test_rounding_modes(config, mode):
         lambda: bdr_quantize(x, config, rounding=mode, rng=np.random.default_rng(11)),
         f"{config.label} {mode}",
     )
-    np.testing.assert_array_equal(ref, fast, err_msg=f"{config.label} {mode}")
+    np.testing.assert_array_equal(ref.view(np.int64), fast.view(np.int64),
+                                  err_msg=f"{config.label} {mode}")
 
 
 @pytest.mark.parametrize("config", REPRESENTATIVE, ids=lambda c: c.label)
@@ -188,6 +193,19 @@ def test_scale_override_paths(config, override):
     rng = np.random.default_rng(5)
     x = rng.normal(size=(2, 2 * config.k1))
     assert_bit_exact(x, config, scale_override=override)
+
+
+@pytest.mark.parametrize(
+    "config", [BDRConfig.int_sw(m=7), BDRConfig.vsq(m=5, d2=6)], ids=["int8", "vsq6"]
+)
+def test_sweep_geometry_with_scalar_override(config):
+    """The Figure 7 sweep's own call: a (256, 256) chunk along axis -1, each
+    row zero-padded into one k1 = 1024 block, scaled by delayed scaling's
+    scalar override (here from the chunk's own amax, as a first call)."""
+    x = sample("variable_normal", np.random.default_rng(18), 256, 256)
+    qmax = config.qmax * ((1 << config.d2) - 1 if config.ss_type == "int" else 1)
+    assert config.k1 > x.shape[-1]
+    assert_bit_exact(x, config, scale_override=float(np.abs(x).max()) / qmax)
 
 
 @pytest.mark.parametrize("config", REPRESENTATIVE, ids=lambda c: c.label)
@@ -370,3 +388,57 @@ def test_bodies_bitwise_equal_over_design_space(config):
             label = f"{config.label} {shape} axis={axis} {kind}"
             fast_side(lambda: bdr_quantize(x, config, axis=axis), label)
             fast_side(lambda: bdr_quantize_partial(x[..., :1], config, axis=-1), label)
+
+
+# ----------------------------------------------------------------------
+# The compiled FP32-scaled body (scaled INT, VSQ) against the numpy body
+# ----------------------------------------------------------------------
+#: software-scaled points off the named formats: an fp32 block scale over a
+#: pow2 sub-scale (one level, as in every body) and 1,024 VSQ sub-blocks
+SCALED_CONFIGS = SOFTWARE_CONFIGS + [
+    BDRConfig(m=4, k1=16, d1=8, s_type="fp32", k2=2, d2=1, ss_type="pow2"),
+    BDRConfig.vsq(m=4, d2=3, k1=1024, k2=1),
+]
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # zero and overflowing scales
+@pytest.mark.parametrize("config", SCALED_CONFIGS, ids=lambda c: c.label)
+@pytest.mark.parametrize("override", [None, 3.7e-3, 0.0, -0.5, 1e-50])
+def test_scaled_bodies_bitwise_equal(config, override):
+    """The compiled FP32-scaled body equals the numpy body bit for bit and
+    in layout: JIT and scalar override scales (zero and fp32 underflowing
+    ones too; the body declines a negative one), trailing and middle axes,
+    transposed inputs."""
+    requires_kernel()
+    rng = np.random.default_rng(19)
+    for shape, axis in [((3, 2 * config.k1 + 1), -1), ((5, config.k1 + 2, 2), 1),
+                        ((config.k1, 3), 0)]:
+        for kind, x in _value_kinds(rng, shape).items():
+            for view in (x, x.T):
+                at = axis % x.ndim if view is x else x.ndim - 1 - axis % x.ndim
+                label = f"{config.label} {shape} axis={at} {kind} {override}"
+                fast_side(lambda: bdr_quantize(view, config, axis=at,
+                                               scale_override=override), label)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # deliberate inf/NaN
+@pytest.mark.parametrize("poison", [np.inf, -np.inf, np.nan])
+def test_scaled_kernel_declines_non_finite_blocks_and_array_overrides(poison):
+    """The FP32-scaled body declines a call with a block holding inf/NaN, or
+    with an array-valued or negative override; the numpy body then runs it."""
+    requires_kernel()
+    rng = np.random.default_rng(20)
+    for config in (BDRConfig.int_sw(m=7, k1=16), BDRConfig.vsq(m=3, d2=4, k1=32, k2=8)):
+        x = rng.normal(size=(3, 40))
+        per_row = np.full((3, 1), 0.05)
+        assert compiled.scaled_nearest(x, config, -1, None) is not None
+        assert compiled.scaled_nearest(x, config, -1, -0.0) is not None
+        assert compiled.scaled_nearest(x, config, -1, per_row) is None
+        assert compiled.scaled_nearest(x, config, -1, -0.05) is None
+        assert_bit_exact(x, config, scale_override=per_row)
+        assert_bit_exact(x, config, scale_override=-0.05)
+        x[2, 37] = poison  # in the last, partial block
+        for override in (None, 0.05):
+            assert compiled.scaled_nearest(x, config, -1, override) is None
+            ref, fast = both_backends(x, config, scale_override=override)
+            np.testing.assert_array_equal(ref, fast)

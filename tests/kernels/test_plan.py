@@ -74,14 +74,14 @@ class TestCache:
         assert plan_cache_info()["size"] == MAX_PLANS
 
     def test_quantize_populates_cache(self):
-        # large enough to clear the small-array plan-free path; VSQ, because
-        # pow2 nearest-rounding calls run the compiled kernel and never plan
+        # large enough to clear the small-array plan-free path; truncation,
+        # because nearest-rounding calls run the compiled kernel and never plan
         x = np.random.default_rng(1).normal(size=(256, 64))
         config = BDRConfig.vsq(m=5, d2=6, k1=64, k2=16)
         with use_backend("numpy"):
-            bdr_quantize(x, config)
+            bdr_quantize(x, config, rounding="truncate")
             first = plan_cache_info()
-            bdr_quantize(x, config)
+            bdr_quantize(x, config, rounding="truncate")
             second = plan_cache_info()
         assert first["misses"] == second["misses"] == 1
         assert second["hits"] == first["hits"] + 1
