@@ -62,7 +62,9 @@ class PagePool:
         self.v = np.zeros((num_heads, columns, head_dim))
         self.v_raw = np.zeros((num_heads, columns, head_dim))
         self._lock = threading.Lock()
-        # LIFO free list: recently released pages are likely cache-warm
+        # kept in descending order, so every checkout pops the lowest free
+        # pages: n pages taken from a free stretch are one ascending run,
+        # which a cache reads as a view instead of a gather
         self._free = list(range(total_pages - 1, -1, -1))
         self._owned: dict[str, set[int]] = {}
         self._checkouts = 0
@@ -112,9 +114,8 @@ class PagePool:
             if len(set(pages)) != len(pages):
                 raise ValueError(f"{owner!r} releases a page twice: {pages}")
             held.difference_update(pages)
-            # pushed descending, so a checkout of as many pops them back
-            # ascending: one run, which a cache reads as a view
-            self._free.extend(sorted(pages, reverse=True))
+            self._free.extend(pages)
+            self._free.sort(reverse=True)
             self._releases += len(pages)
             if not held:
                 self._owned.pop(owner, None)
@@ -127,7 +128,8 @@ class PagePool:
         """Return every page held by ``owner``; returns how many."""
         with self._lock:
             held = self._owned.pop(owner, set())
-            self._free.extend(sorted(held, reverse=True))  # see release_pages
+            self._free.extend(held)
+            self._free.sort(reverse=True)
             self._releases += len(held)
             return len(held)
 

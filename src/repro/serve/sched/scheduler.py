@@ -59,6 +59,7 @@ from ...nn.decode import (
 )
 from ...nn.tensor import no_grad
 from ...spec.serving import SchedulerConfig
+from ..blas import single_threaded
 from ..faults import (
     DeadlineExceeded,
     InjectedFault,
@@ -462,7 +463,8 @@ class ContinuousScheduler:
         states = [entry.state for entry in stepping]
         with no_grad():
             if self._fused:
-                logits = batched_causal_decode_step(self.model, windows, states)
+                with single_threaded():
+                    logits = batched_causal_decode_step(self.model, windows, states)
             else:
                 rows = []
                 for window, state in zip(windows, states):
@@ -472,8 +474,8 @@ class ContinuousScheduler:
                 with self._cv:
                     self._counters["serial_steps"] += len(stepping)
         finished = []
-        for i, entry in enumerate(stepping):
-            token = int(np.argmax(logits[i]))
+        tokens = logits.argmax(axis=-1).tolist()
+        for entry, token in zip(stepping, tokens):
             entry.append(token)
             t = time.perf_counter()
             self.metrics.record_tokens(1, latency=t - entry.last_token_t)
