@@ -285,8 +285,8 @@ def _cmd_bench_serve(argv: list[str]) -> int:
     parser.add_argument("--requests", type=int, default=64)
     parser.add_argument("--max-batch", type=int, default=16)
     parser.add_argument("--repeats", type=int, default=3,
-                        help="timing repeats; the best (max rps) of each path "
-                        "and the median per-repeat speedup are reported")
+                        help="timing repeats; the best (max rps) is reported "
+                        "(--continuous: median per-repeat speedup)")
     parser.add_argument("--continuous", action="store_true",
                         help="benchmark continuous batching instead: lockstep "
                         "generate vs the paged-KV scheduler on ragged prompts")

@@ -180,12 +180,12 @@ class PagedKVCache:
     def _set_pages(self, pages: list[int]) -> None:
         """Adopt a page table and the position -> arena column map it implies."""
         self._pages = pages
-        # one ascending run maps every position to its column by one shift;
-        # any other table builds its column index on first use
-        self._index = None
+        table = np.asarray(pages, dtype=np.intp)
+        self._index = (table[:, None] * self.page_size + np.arange(self.page_size)).ravel()
+        # one ascending run maps every position to its column by one shift
         self._shift = None
-        if all(b - a == 1 for a, b in zip(pages, pages[1:])):
-            self._shift = pages[0] * self.page_size if pages else 0
+        if np.all(np.diff(table) == 1):
+            self._shift = int(self._index[0]) if pages else 0
 
     def _cols(self, start: int, stop: int):
         """Arena columns of positions ``[start, stop)``: a slice when their
@@ -196,11 +196,6 @@ class PagedKVCache:
         if stop <= (page + 1) * self.page_size:  # inside one page
             shift = (self._pages[page] - page) * self.page_size
             return slice(start + shift, stop + shift)
-        if self._index is None:
-            table = np.asarray(self._pages, dtype=np.intp)
-            self._index = (
-                table[:, None] * self.page_size + np.arange(self.page_size)
-            ).ravel()
         return self._index[start:stop]
 
     # ------------------------------------------------------------------

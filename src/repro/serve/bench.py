@@ -7,18 +7,13 @@ repeats, best-of selection) here changes all of them together, so the
 gated number and the reported number can never drift apart.
 
 Protocol: warm both paths outside the timers (first call pays one-time
-weight quantization), time ``repeats`` passes of each over the same
-request stream, and report the best (max req/s) of each — wall-clock on a
-shared machine only gets slower, so best-of-N is the stable throughput.
-A gated speedup pairs the two paths instead: each repeat times one pass
-of each, alternating which goes first, and the median of the per-repeat
-ratios is reported, so a change in machine load between two separately
-timed phases cannot move it.
+weight quantization), time ``repeats`` passes over the same request
+stream, report the best (max req/s) of each — wall-clock on a shared
+machine only gets slower, so best-of-N is the stable estimator.
 """
 
 from __future__ import annotations
 
-import copy
 import time
 
 import numpy as np
@@ -57,16 +52,11 @@ def measure_serving_speedup(
     ``requests`` are serving-protocol ``score`` payload dicts
     (``{"task": "score", "context": ..., "candidates": [...]}``).  The
     naive path is the historical deployment: ``direct_cast`` + one legacy
-    ``score_candidates`` call per request, on a copy of ``model`` so both
-    paths stay ready side by side.  The batched path compiles ``model``
-    once and drains the same stream through a micro-batched session.
-    Each repeat times one pass of each path, alternating which runs
-    first, so machine-load drift hits both sides equally; the reported
-    ``speedup`` is the *median of the per-repeat ratios* (the
-    drift-cancelling estimator of :func:`measure_forward_speedup`).
+    ``score_candidates`` call per request.  The batched path compiles the
+    model once and drains the same stream through a micro-batched session.
 
-    Returns a plain payload: best-of-``repeats`` ``naive_rps`` and
-    ``batched_rps``, ``speedup``, plus the parameters used.
+    Returns a plain payload: ``naive_rps``, ``batched_rps``, ``speedup``,
+    plus the parameters used.
     """
     from ..flow.cast import direct_cast
     from ..models.gpt import score_candidates
@@ -74,56 +64,45 @@ def measure_serving_speedup(
 
     _require_repeats(repeats)
     pairs = [(r["context"], r["candidates"]) for r in requests]
-    naive_model = copy.deepcopy(model)
-    direct_cast(naive_model, fmt)
-    for context, candidates in pairs[:WARMUP_REQUESTS]:
-        score_candidates(naive_model, context, candidates)
-    config = SessionConfig(format=fmt, max_batch=max_batch, max_wait=max_wait)
-    compiled = compile_model(model, config=config)
-    compiled.run(requests[:WARMUP_REQUESTS])
 
-    def naive_pass() -> tuple[float, int]:
-        """One timed pass: (req/s, quantize calls)."""
+    # --- naive path: per-request legacy calls on a direct-cast model ----
+    direct_cast(model, fmt)
+    for context, candidates in pairs[:WARMUP_REQUESTS]:
+        score_candidates(model, context, candidates)
+    naive_rps = 0.0
+    naive_quant_calls = 0
+    for repeat in range(repeats):
+        # the quantize-call count piggybacks on the first timed pass (two
+        # counter reads, no extra benchmark work)
         calls_before = quantize_call_count()
         start = time.perf_counter()
         for context, candidates in pairs:
-            score_candidates(naive_model, context, candidates)
-        rps = len(pairs) / (time.perf_counter() - start)
-        return rps, quantize_call_count() - calls_before
+            score_candidates(model, context, candidates)
+        naive_rps = max(naive_rps, len(pairs) / (time.perf_counter() - start))
+        if repeat == 0:
+            naive_quant_calls = quantize_call_count() - calls_before
 
+    # --- batched path: compile once, serve through a session ------------
+    config = SessionConfig(format=fmt, max_batch=max_batch, max_wait=max_wait)
+    compiled = compile_model(model, config=config)
+    compiled.run(requests[:WARMUP_REQUESTS])
+    batched_rps = 0.0
+    batched_quant_calls = 0
     reliability: dict = {}
-
-    def batched_pass() -> tuple[float, int]:
-        nonlocal reliability
+    for repeat in range(repeats):
         with compiled.session(config) as session:
             calls_before = quantize_call_count()
             start = time.perf_counter()
             session.map(requests)
-            rps = len(requests) / (time.perf_counter() - start)
-            calls = quantize_call_count() - calls_before
+            batched_rps = max(
+                batched_rps, len(requests) / (time.perf_counter() - start)
+            )
+            if repeat == 0:
+                batched_quant_calls = quantize_call_count() - calls_before
             # the error/recovery taxonomy of the last timed pass: all-zero
             # on a healthy run, and the first place injected faults or
             # shed/retry behavior shows up in bench output
             reliability = session.summary()["reliability"]
-        return rps, calls
-
-    naive_rps = batched_rps = 0.0
-    naive_quant_calls = batched_quant_calls = 0
-    ratios = []
-    for repeat in range(repeats):
-        if repeat % 2:
-            batched, batched_calls = batched_pass()
-            naive, naive_calls = naive_pass()
-        else:
-            naive, naive_calls = naive_pass()
-            batched, batched_calls = batched_pass()
-        if repeat == 0:
-            # the quantize-call counts piggyback on the first timed passes
-            # (two counter reads each, no extra benchmark work)
-            naive_quant_calls, batched_quant_calls = naive_calls, batched_calls
-        naive_rps = max(naive_rps, naive)
-        batched_rps = max(batched_rps, batched)
-        ratios.append(batched / naive)
 
     # --- decode metrics: a short stream through a session ---------------
     prompt = np.asarray(requests[0]["context"], dtype=np.int64)[:8]
@@ -143,7 +122,7 @@ def measure_serving_speedup(
         "repeats": repeats,
         "naive_rps": naive_rps,
         "batched_rps": batched_rps,
-        "speedup": sorted(ratios)[len(ratios) // 2],
+        "speedup": batched_rps / naive_rps if naive_rps else float("inf"),
         # engine invocations per request on each path: the residency
         # observable — regressions here surface even when wall-clock noise
         # hides them
@@ -264,7 +243,7 @@ def measure_decode_speedup(
     (``prompt_len`` is the source length, ``max_new_tokens`` the decode
     budget).  Both paths share the same compiled (quantize-once) weights,
     so the ratio isolates the incremental-decoding win.  Best-of-``repeats``
-    per path, and the speedup is the ratio of the two bests.
+    per path, same protocol as :func:`measure_serving_speedup`.
     """
     from .adapters import TranslationAdapter, adapter_for
     from .compile import compile_model

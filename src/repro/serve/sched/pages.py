@@ -62,9 +62,7 @@ class PagePool:
         self.v = np.zeros((num_heads, columns, head_dim))
         self.v_raw = np.zeros((num_heads, columns, head_dim))
         self._lock = threading.Lock()
-        # kept in descending order, so every checkout pops the lowest free
-        # pages: n pages taken from a free stretch are one ascending run,
-        # which a cache reads as a view instead of a gather
+        # LIFO free list: recently released pages are likely cache-warm
         self._free = list(range(total_pages - 1, -1, -1))
         self._owned: dict[str, set[int]] = {}
         self._checkouts = 0
@@ -114,8 +112,9 @@ class PagePool:
             if len(set(pages)) != len(pages):
                 raise ValueError(f"{owner!r} releases a page twice: {pages}")
             held.difference_update(pages)
-            self._free.extend(pages)
-            self._free.sort(reverse=True)
+            # pushed descending, so a checkout of as many pops them back
+            # ascending: one run, which a cache reads as a view
+            self._free.extend(sorted(pages, reverse=True))
             self._releases += len(pages)
             if not held:
                 self._owned.pop(owner, None)
@@ -128,8 +127,7 @@ class PagePool:
         """Return every page held by ``owner``; returns how many."""
         with self._lock:
             held = self._owned.pop(owner, set())
-            self._free.extend(held)
-            self._free.sort(reverse=True)
+            self._free.extend(sorted(held, reverse=True))  # see release_pages
             self._releases += len(held)
             return len(held)
 

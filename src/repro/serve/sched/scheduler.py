@@ -59,7 +59,6 @@ from ...nn.decode import (
 )
 from ...nn.tensor import no_grad
 from ...spec.serving import SchedulerConfig
-from ..blas import single_threaded
 from ..faults import (
     DeadlineExceeded,
     InjectedFault,
@@ -463,8 +462,7 @@ class ContinuousScheduler:
         states = [entry.state for entry in stepping]
         with no_grad():
             if self._fused:
-                with single_threaded():
-                    logits = batched_causal_decode_step(self.model, windows, states)
+                logits = batched_causal_decode_step(self.model, windows, states)
             else:
                 rows = []
                 for window, state in zip(windows, states):
@@ -474,8 +472,8 @@ class ContinuousScheduler:
                 with self._cv:
                     self._counters["serial_steps"] += len(stepping)
         finished = []
-        tokens = logits.argmax(axis=-1).tolist()
-        for entry, token in zip(stepping, tokens):
+        for i, entry in enumerate(stepping):
+            token = int(np.argmax(logits[i]))
             entry.append(token)
             t = time.perf_counter()
             self.metrics.record_tokens(1, latency=t - entry.last_token_t)

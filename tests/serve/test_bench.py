@@ -25,25 +25,3 @@ def test_no_timed_pass_refused_before_any_work(measure, repeats):
     # no model at all: only a check made before any work can answer
     with pytest.raises(ValueError, match="repeats must be >= 1"):
         measure(repeats)
-
-
-def test_serving_protocol_pairs_the_two_paths():
-    """The paired protocol runs end to end: every repeat times both paths,
-    the naive one on its own direct-cast copy of the model."""
-    import numpy as np
-
-    from repro.data.synthetic import SyntheticLanguage
-    from repro.data.tasks import make_task
-    from repro.models.gpt import GPT, GPT_SIZES
-
-    lang = SyntheticLanguage(seed=0)
-    model = GPT(lang.vocab_size, GPT_SIZES["GPT-XS"], rng=np.random.default_rng(0))
-    requests = [
-        {"task": "score", "context": ex.context, "candidates": ex.candidates}
-        for ex in make_task("recall", lang, n_examples=6, seed=1)
-    ]
-    result = measure_serving_speedup(model, requests, max_batch=4, repeats=3)
-    assert result["naive_rps"] > 0 and result["batched_rps"] > 0
-    assert result["speedup"] > 0
-    assert result["naive_quant_calls_per_request"] > 0
-    assert result["reliability"]

@@ -170,18 +170,6 @@ class TestPagePool:
             pool.release_all("b")
         assert pool.leaked() == {}
 
-    def test_checkout_takes_lowest_free_pages(self):
-        """Runs released out of order merge back: a checkout spanning both
-        is one ascending run, whatever order the owners left in."""
-        pool = PagePool(num_heads=2, head_dim=4, page_size=16, total_pages=8)
-        first = pool.checkout_pages("a", 3)
-        second = pool.checkout_pages("b", 3)
-        pool.release_pages("a", first)
-        pool.release_all("b")
-        assert pool.checkout_pages("c", 6) == list(range(6))
-        pool.release_all("c")
-        assert pool.leaked() == {}
-
     def test_foreign_release_rejected(self):
         pool = PagePool(num_heads=2, head_dim=4, page_size=16, total_pages=4)
         page = pool.checkout_page("a")
@@ -564,36 +552,6 @@ class TestContinuousScheduler:
         assert sched["slo"]["ttft_ms"]["p50"] >= 0.0
         assert summary["decode"]["tokens"] == sum(len(t) for t in truth)
         assert pool.leaked() == {}
-
-    def test_repeated_drains_stay_bit_identical(self, compiled, lang):
-        """Later drains check out pages the earlier streams released; the
-        tokens must not move, and the packed step's products run with
-        OpenBLAS held to one thread when its thread control is found."""
-        from repro.nn import decode
-        from repro.serve import blas
-        from repro.serve.sched import scheduler
-
-        requests = ragged_requests(lang, 16, seed=5)
-        truth = serial_truth(compiled, requests)
-        threads = []
-
-        def counting_step(*args):
-            if blas._control:
-                threads.append(blas._control[0]())
-            return decode.batched_causal_decode_step(*args)
-
-        cfg = SessionConfig(format="mx6", scheduler={"max_streams": 16})
-        original = scheduler.batched_causal_decode_step
-        scheduler.batched_causal_decode_step = counting_step
-        try:
-            with compiled.session(cfg) as session:
-                for _ in range(3):
-                    assert [r["tokens"] for r in session.map(requests)] == truth
-                pool = session._sched.pool
-        finally:
-            scheduler.batched_causal_decode_step = original
-        assert pool.leaked() == {}
-        assert set(threads) <= {1}
 
     def test_moe_streams_step_packed_bit_identical(self, moe, lang):
         requests = ragged_requests(lang, 6, seed=4)
