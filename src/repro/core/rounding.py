@@ -16,13 +16,8 @@ ROUNDING_MODES = ("nearest", "stochastic", "truncate")
 
 
 def round_nearest_even(x: np.ndarray) -> np.ndarray:
-    """Round to the nearest integer, ties to even (IEEE 754 default).
-
-    A zero result is +0.0: ``np.rint`` alone returns -0.0 for negative
-    inputs that round to zero, where the fast kernels' magic-number shift
-    returns +0.0, and the backends must agree bit for bit.
-    """
-    return np.rint(x) + 0.0
+    """Round to the nearest integer, ties to even (IEEE 754 default)."""
+    return np.rint(x)
 
 
 def round_stochastic(x: np.ndarray, rng: np.random.Generator) -> np.ndarray:

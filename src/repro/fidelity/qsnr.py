@@ -125,8 +125,7 @@ def measure_qsnr(
             signal += float(np.sum(x**2))
             remaining -= n
     else:
-        x, sizes = _sample_ensemble(distribution, n_vectors, length, seed, chunk)
-        signal = _ensemble_signal(distribution, n_vectors, length, seed, chunk)
+        x, sizes, signal = _sample_ensemble(distribution, n_vectors, length, seed, chunk)
         batched = fmt.is_stateless and len(sizes) > 1
         if batched:
             q = fmt.quantize(x, axis=-1)
@@ -155,15 +154,18 @@ MAX_CACHED_ENSEMBLE_BYTES = 64 * 1024 * 1024
 
 def _sample_ensemble(
     distribution: str, n_vectors: int, length: int, seed: int, chunk: int
-) -> tuple[np.ndarray, tuple[int, ...]]:
-    """Sample (and usually memoize) one measurement ensemble.
+) -> tuple[np.ndarray, tuple[int, ...], float]:
+    """Sample (and usually memoize) one measurement ensemble, with its chunk
+    sizes and its signal power.
 
     Chunks are drawn sequentially from one seeded generator — exactly the
     stream the historical chunked loop consumed — then concatenated, so
     both the batched and the sequential paths read identical values.  The
-    cache amortizes sampling across the hundreds of design points of a
-    sweep (and across formats in the table experiments), which all share
-    one ``(distribution, n_vectors, length, seed, chunk)`` signature.
+    signal power is summed chunk by chunk, as the noise is; it does not
+    depend on the format.  The cache amortizes sampling and the signal sum
+    across the hundreds of design points of a sweep (and across formats in
+    the table experiments), which all share one
+    ``(distribution, n_vectors, length, seed, chunk)`` signature.
     Oversized requests (> :data:`MAX_CACHED_ENSEMBLE_BYTES`) bypass the
     cache so it never pins more than a few hundred MB; call
     :func:`clear_ensemble_cache` to release the rest eagerly.
@@ -178,23 +180,9 @@ def _cached_ensemble(distribution, n_vectors, length, seed, chunk):
     return _build_ensemble(distribution, n_vectors, length, seed, chunk)
 
 
-@lru_cache(maxsize=4)
-def _ensemble_signal(distribution, n_vectors, length, seed, chunk) -> float:
-    """Signal power of one memoized ensemble, summed chunk by chunk as the
-    noise is: the same for every format measured on it, so a sweep sums it
-    once instead of once per design point."""
-    x, sizes = _cached_ensemble(distribution, n_vectors, length, seed, chunk)
-    signal = 0.0
-    offset = 0
-    for n in sizes:
-        signal += float(np.sum(x[offset : offset + n] ** 2))
-        offset += n
-    return signal
-
-
 def _build_ensemble(
     distribution: str, n_vectors: int, length: int, seed: int, chunk: int
-) -> tuple[np.ndarray, tuple[int, ...]]:
+) -> tuple[np.ndarray, tuple[int, ...], float]:
     rng = np.random.default_rng(seed)
     sizes = []
     remaining = n_vectors
@@ -202,16 +190,19 @@ def _build_ensemble(
         sizes.append(min(chunk, remaining))
         remaining -= sizes[-1]
     if not sizes:
-        return np.empty((0, length)), ()
+        return np.empty((0, length)), (), 0.0
     chunks = [sample(distribution, rng, n, length) for n in sizes]
     x = np.concatenate(chunks) if len(chunks) > 1 else chunks[0]
     # shared between callers via the cache, so freeze it
     x.setflags(write=False)
-    return x, tuple(sizes)
+    signal = 0.0
+    offset = 0
+    for n in sizes:
+        signal += float(np.sum(x[offset : offset + n] ** 2))
+        offset += n
+    return x, tuple(sizes), signal
 
 
 def clear_ensemble_cache() -> None:
-    """Drop memoized measurement ensembles and their signal powers (frees
-    their memory)."""
+    """Drop memoized measurement ensembles (frees their memory)."""
     _cached_ensemble.cache_clear()
-    _ensemble_signal.cache_clear()

@@ -35,10 +35,10 @@ Exactness notes.  The bit tricks change *intermediate* encodings, never
 post-clip results: (1) subnormal block maxima read as exponent ``-1023``
 rather than the reference's zero sentinel, but both land on the clamp
 bottom whenever the ``d1`` exponent range sits inside the normal float64
-range; (2) the magic-number shift equals
-:func:`~repro.core.rounding.round_nearest_even` (``np.rint(q) + 0.0``) bit
-for bit for ``|q| <= 2**51``, zero results included: both give +0.0 where
-``np.rint`` alone gives -0.0.  Beyond ``2**51`` it may differ by one
+range; (2) the magic-number shift equals ``np.rint`` bit for bit for
+``|q| <= 2**51`` except in the sign of zero: it gives +0.0 where
+``np.rint`` gives -0.0 (the reference backend adds +0.0 to its
+nearest-rounded codes to match).  Beyond ``2**51`` it may differ by one
 ulp-of-one — where both results saturate to ``qmax`` after clipping
 anyway.  Configs whose
 exponent ranges violate these preconditions (``d1`` wider than ~11 bits on
@@ -478,11 +478,11 @@ def _vsq_fused(blocked, work, plan, config, rounding, rng, scale_override):
 def _round_inplace(buf, mode, rng):
     """Round ``buf`` to integer codes in place.
 
-    ``nearest`` uses the magic-number shift (identical to
-    :func:`~repro.core.rounding.round_nearest_even` up to clip saturation —
-    see the module docstring); ``truncate`` is a single
-    ``np.trunc`` pass; stochastic and unknown modes go through
-    :func:`~repro.core.rounding.apply_rounding` for identical semantics.
+    ``nearest`` uses the magic-number shift (identical to ``np.rint`` up to
+    clip saturation and the sign of zero — see the module docstring);
+    ``truncate`` is a single ``np.trunc`` pass; stochastic and unknown
+    modes go through :func:`~repro.core.rounding.apply_rounding` for
+    identical semantics.
     """
     if mode == "nearest":
         buf += _MAGIC

@@ -85,7 +85,7 @@ def _quantize_pow2(blocked, config, rounding, rng):
         step = np.broadcast_to(step, blocked.shape)
         sub_scale = None
 
-    codes = apply_rounding(blocked / step, rounding, rng)
+    codes = _round_codes(blocked / step, rounding, rng)
     codes = np.clip(codes, -config.qmax, config.qmax)
     values = codes * step
     scale = np.exp2(exp.astype(np.float64))
@@ -101,7 +101,7 @@ def _quantize_int(blocked, config, rounding, rng, scale_override):
         scale = _broadcast_override(scale_override, blocked.shape[:-1])
 
     step = scale[..., None]
-    codes = apply_rounding(blocked / step, rounding, rng)
+    codes = _round_codes(blocked / step, rounding, rng)
     codes = np.clip(codes, -config.qmax, config.qmax)
     values = codes * step
     return QuantizeResult(values, codes, scale, None, np.broadcast_to(step, blocked.shape))
@@ -132,13 +132,29 @@ def _quantize_vsq(blocked, config, rounding, rng, scale_override):
 
     step_sub = scale[..., None] * sub_codes
     safe_step = np.where(step_sub <= 0, 1.0, step_sub)
-    codes_sub = apply_rounding(sub / safe_step[..., None], rounding, rng)
+    codes_sub = _round_codes(sub / safe_step[..., None], rounding, rng)
     codes_sub = np.clip(codes_sub, -config.qmax, config.qmax)
     codes_sub = np.where(step_sub[..., None] <= 0, 0.0, codes_sub)
     values = (codes_sub * step_sub[..., None]).reshape(blocked.shape)
     codes = codes_sub.reshape(blocked.shape)
     step = np.repeat(step_sub, config.k2, axis=-1).reshape(blocked.shape)
     return QuantizeResult(values, codes, scale, sub_codes, step)
+
+
+def _round_codes(q, rounding, rng):
+    """Round scaled values to integer codes; a nearest-rounded zero is +0.0.
+
+    ``np.rint`` returns -0.0 for negative values that round to zero, where
+    the fast bodies' magic-number shift returns +0.0.  Adding +0.0 turns
+    -0.0 into +0.0 and leaves every other value alone, so the oracle's
+    codes match the fast bodies' bit for bit.  Scalar float casts keep
+    IEEE's signed zero: they round through
+    :func:`~repro.core.rounding.apply_rounding` directly.
+    """
+    codes = apply_rounding(q, rounding, rng)
+    if rounding == "nearest":
+        codes += 0.0
+    return codes
 
 
 def _broadcast_override(scale_override, block_shape):

@@ -128,7 +128,7 @@ class TestBatchedMeasureQsnr:
 
         before = qsnr_mod._cached_ensemble.cache_info().currsize
         n = qsnr_mod.MAX_CACHED_ENSEMBLE_BYTES // (8 * 16) + 1
-        x, sizes = qsnr_mod._sample_ensemble("standard_normal", n, 16, 0, 1 << 20)
+        x, sizes, _ = qsnr_mod._sample_ensemble("standard_normal", n, 16, 0, 1 << 20)
         assert x.shape == (n, 16)
         assert qsnr_mod._cached_ensemble.cache_info().currsize == before
 
@@ -144,19 +144,30 @@ class TestBatchedMeasureQsnr:
         assert measure_qsnr(get_format("mx6"), n_vectors=600, seed=4) == stateless
         assert measure_qsnr(get_format("int8"), n_vectors=600, seed=4) == stateful
 
-    def test_signal_power_is_memoized_beside_the_ensemble(self):
-        """One signal-power sum per ensemble, whatever the format; dropped
-        with the ensemble by clear_ensemble_cache."""
+    @pytest.mark.parametrize("name", ["mx6", "int8"])
+    def test_memoized_signal_gives_the_plain_chunked_qsnr(self, name):
+        """The signal power memoized with the ensemble, and the noise summed
+        through the reused buffer, give the bits of Eq. 3 summed chunk by
+        chunk with plain temporaries, on a fresh ensemble and on a memo
+        hit, for a batched and a sequential format."""
         import importlib
 
+        from repro.fidelity.distributions import sample
+
         qsnr_mod = importlib.import_module("repro.fidelity.qsnr")
+        fmt = get_format(name)
+        rng = np.random.default_rng(5)
+        noise = signal = 0.0
+        for n in (256, 256, 89):
+            x = sample("variable_normal", rng, n, 256)
+            noise += float(np.sum((fmt.quantize(x, axis=-1) - x) ** 2))
+            signal += float(np.sum(x**2))
+        expected = -10.0 * float(np.log10(noise / signal))
         qsnr_mod.clear_ensemble_cache()
-        measure_qsnr(get_format("mx6"), n_vectors=300, seed=5)
-        measure_qsnr(get_format("int8"), n_vectors=300, seed=5)
-        info = qsnr_mod._ensemble_signal.cache_info()
-        assert (info.misses, info.hits) == (1, 1)
-        qsnr_mod.clear_ensemble_cache()
-        assert qsnr_mod._ensemble_signal.cache_info().currsize == 0
+        assert measure_qsnr(get_format(name), n_vectors=601, seed=5) == expected
+        assert measure_qsnr(get_format(name), n_vectors=601, seed=5) == expected
+        # the QSNR's log hides an ulp of the signal, so check the sum itself
+        assert qsnr_mod._sample_ensemble("variable_normal", 601, 256, 5, 256)[2] == signal
 
     def test_stateful_formats_stay_sequential(self):
         """Delayed scaling depends on chunk order; it must keep the loop

@@ -90,6 +90,12 @@ class TestQuantizeToSpec:
 
     def test_zero(self):
         assert quantize_to_spec(np.array([0.0]), FP8_E4M3)[0] == 0.0
+        # like an IEEE cast (np.float16(-1e-9) is -0.0), -0.0 and a negative
+        # value that rounds to zero keep the sign
+        tiny = FP8_E4M3.min_subnormal
+        q = quantize_to_spec(np.array([-0.0, -tiny / 4, tiny / 4]), FP8_E4M3)
+        np.testing.assert_array_equal(q, 0.0)
+        np.testing.assert_array_equal(np.signbit(q), [True, True, False])
 
     def test_bf16_matches_bit_manipulation(self):
         from repro.nn.precision import round_bf16

@@ -370,7 +370,7 @@ def _value_kinds(rng, shape):
         "wide": x * np.exp2(rng.integers(-60, 60, size=shape)),
         "signed_zeros": signed_zeros,
         "subnormal": x * 1e-310,
-        "tiny": -np.abs(x) * 1e-30,  # rounds to -0.0 on the reference
+        "tiny": -np.abs(x) * 1e-30,  # np.rint alone rounds it to -0.0
         "huge": huge,
     }
 
