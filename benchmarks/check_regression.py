@@ -5,7 +5,9 @@ Runs each suite's benchmark module under ``pytest-benchmark`` with
 ``--benchmark-json``, then compares the median time of every benchmark
 against the committed baseline (``benchmarks/BENCH_kernels.json`` /
 ``benchmarks/BENCH_serving.json``) and exits nonzero if any benchmark
-regressed by more than the threshold (default 25%).
+regressed by more than the threshold (default 25%).  Every suite runs and
+is compared even when an earlier one fails (a failing test in a module
+counts as a failure of its suite); all failures print together at the end.
 
 Usage::
 
@@ -48,8 +50,9 @@ SUITES = {
 }
 
 
-def run_benchmarks(bench_file: Path, json_path: Path) -> None:
-    """Run one suite's benchmark module, writing pytest-benchmark JSON."""
+def run_benchmarks(bench_file: Path, json_path: Path) -> int:
+    """Run one suite's benchmark module, writing pytest-benchmark JSON;
+    returns pytest's exit code."""
     cmd = [
         sys.executable, "-m", "pytest", str(bench_file), "-q",
         "--benchmark-json", str(json_path),
@@ -59,9 +62,7 @@ def run_benchmarks(bench_file: Path, json_path: Path) -> None:
     env["PYTHONPATH"] = src + (
         ":" + env["PYTHONPATH"] if env.get("PYTHONPATH") else ""
     )
-    result = subprocess.run(cmd, cwd=REPO_ROOT, env=env)
-    if result.returncode != 0:
-        sys.exit(f"benchmark run failed with exit code {result.returncode}")
+    return subprocess.run(cmd, cwd=REPO_ROOT, env=env).returncode
 
 
 def load_medians(json_path: Path) -> dict[str, float]:
@@ -110,7 +111,12 @@ def compare(baseline: dict[str, float], current: dict[str, float],
 
 def run_suite(name: str, bench_file: Path, baseline_path: Path,
               args: argparse.Namespace) -> list[str]:
-    """Run/compare one suite; returns its failure messages."""
+    """Run/compare one suite; returns its failure messages.
+
+    A failing test in the suite's module is a failure, but the medians its
+    run did record are still compared: one failing headline must not hide a
+    regression elsewhere in the suite.
+    """
     json_path = args.json
     tmp = None
     if json_path is None:
@@ -118,24 +124,29 @@ def run_suite(name: str, bench_file: Path, baseline_path: Path,
         tmp.close()
         json_path = Path(tmp.name)
 
+    failures = []
     try:
         if not args.no_run:
-            run_benchmarks(bench_file, json_path)
-        if not json_path.exists():
-            sys.exit(f"no benchmark JSON at {json_path}")
+            status = run_benchmarks(bench_file, json_path)
+            if status != 0:
+                failures.append(f"benchmark run failed with exit code {status}")
+        if not json_path.exists() or not json_path.stat().st_size:
+            return failures + [f"no benchmark JSON at {json_path}"]
 
         if args.update_baseline:
+            if failures:
+                return failures + ["baseline not updated"]
             shutil.copyfile(json_path, baseline_path)
             print(f"[{name}] baseline updated: {baseline_path}")
             return []
 
         if not baseline_path.exists():
-            sys.exit(
+            return failures + [
                 f"no baseline at {baseline_path}; run with --update-baseline "
                 "to create one"
-            )
+            ]
         print(f"=== suite: {name} ===")
-        return compare(
+        return failures + compare(
             load_medians(baseline_path), load_medians(json_path), args.threshold
         )
     finally:

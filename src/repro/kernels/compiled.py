@@ -2,10 +2,14 @@
 
 ``pow2_nearest.c`` holds two bodies, one extension module for both.  The
 pow2 body runs the numpy backend's pow2 operation sequence
-(``_pow2_fused``) element by element in C, and the FP32-scaled body runs
-its scaled INT and VSQ sequences (``_int_fused``, ``_vsq_fused``), so
+(``_pow2_fused``) in C, and the FP32-scaled body runs its scaled INT and
+VSQ sequences (``_int_fused``, ``_vsq_fused``) element by element, so
 their outputs equal the numpy body's bit for bit while a call costs
-microseconds instead of tens of them.
+microseconds instead of tens of them.  On x86-64 CPUs with AVX2 the pow2
+body runs four elements per instruction along the trailing axis, or four
+adjacent fibers along any other; the C code picks that vector body per
+call, from the CPU and the geometry, and runs the scalar one elsewhere,
+with the same bits (:func:`last_pow2_body` says which ran).
 :class:`~repro.kernels.numpy_backend.NumpyBackend` routes every
 nearest-rounding pow2-scaled ``quantize`` and ``quantize_partial`` call
 through :func:`pow2_nearest`, and every nearest-rounding fp32-scaled one
@@ -50,7 +54,7 @@ import numpy as np
 from ..core.scaling import exponent_range
 from .reference import _as_fp32
 
-__all__ = ["pow2_nearest", "scaled_nearest", "kernel_path"]
+__all__ = ["pow2_nearest", "scaled_nearest", "kernel_path", "last_pow2_body"]
 
 SOURCE = Path(__file__).with_name("pow2_nearest.c")
 CDEF = """
@@ -59,6 +63,8 @@ int repro_pow2_nearest(const double *x, double *out,
                        int64_t os_outer, int64_t os_n, int64_t os_inner,
                        int64_t k1, int64_t k2, int64_t lo, int64_t hi,
                        int64_t beta, int64_t m, double qmax);
+int repro_pow2_last_body(void);
+extern int repro_pow2_scalar_only;
 int repro_scaled_nearest(const double *x, double *out,
                          int64_t outer, int64_t n, int64_t inner,
                          int64_t os_outer, int64_t os_n, int64_t os_inner,
@@ -211,9 +217,33 @@ def _numpy_body():
         _LIB = saved
 
 
+@contextlib.contextmanager
+def _scalar_body():
+    """Test seam: pow2 calls inside the block run the scalar C body, never
+    the AVX2 one (not thread-safe)."""
+    lib = _kernel()
+    if lib is None:
+        yield
+        return
+    saved, lib.repro_pow2_scalar_only = lib.repro_pow2_scalar_only, 1
+    try:
+        yield
+    finally:
+        lib.repro_pow2_scalar_only = saved
+
+
+def last_pow2_body() -> str | None:
+    """The C body that ran this thread's last compiled pow2 call: ``"avx2"``
+    or ``"scalar"``; ``None`` when the kernel is not loaded."""
+    lib = _LIB if _LOADED else _kernel()
+    if lib is None:
+        return None
+    return "avx2" if lib.repro_pow2_last_body() else "scalar"
+
+
 def pow2_nearest(x: np.ndarray, config, axis: int, c_order: bool) -> np.ndarray | None:
-    """Quantize ``x`` (non-empty; other dtypes are widened to float64) with
-    the compiled kernel.
+    """Quantize ``x`` (other dtypes are widened to float64) with the
+    compiled kernel.
 
     ``config`` is a pow2-scaled config the numpy body accepts (``m <= 50``,
     exponent range inside the normal float64 range).  The result is laid out
@@ -221,11 +251,11 @@ def pow2_nearest(x: np.ndarray, config, axis: int, c_order: bool) -> np.ndarray 
     BLAS product depend on the operand's layout: a fresh buffer with the
     block axis last and rows padded to a multiple of ``k1``, viewed back to
     ``x``'s shape -- or plain C order when ``c_order`` is set (the numpy
-    body's tiled path).  Returns ``None`` when the kernel is not loaded or a
-    block holds inf/NaN: the caller then runs the numpy body.
+    body's tiled path).  Returns ``None`` when the kernel is not loaded, ``x``
+    is empty or a block holds inf/NaN: the caller then runs the numpy body.
     """
     lib = _LIB if _LOADED else _kernel()
-    if lib is None:
+    if lib is None or not x.size:
         return None
     shape = x.shape
     last = len(shape) - 1
@@ -260,8 +290,8 @@ def pow2_nearest(x: np.ndarray, config, axis: int, c_order: bool) -> np.ndarray 
 
 
 def scaled_nearest(x: np.ndarray, config, axis: int, scale_override) -> np.ndarray | None:
-    """Quantize ``x`` (non-empty; other dtypes are widened to float64) with
-    the compiled FP32-scaled body: scaled INT at one level, or VSQ when
+    """Quantize ``x`` (other dtypes are widened to float64) with the
+    compiled FP32-scaled body: scaled INT at one level, or VSQ when
     ``config.ss_type == "int"``.
 
     ``config`` is an fp32-scaled config with ``m <= 50``.  ``scale_override``
@@ -269,14 +299,14 @@ def scaled_nearest(x: np.ndarray, config, axis: int, scale_override) -> np.ndarr
     here as the numpy body rounds it.  The result is laid out as
     :func:`pow2_nearest` lays out its own, never in C order (the numpy body
     does not tile these configs).  Returns ``None`` when the kernel is not
-    loaded, the override is array-valued or negative, or a block holds
-    inf/NaN: the caller then runs the numpy body.  (A negative scale can
-    make a VSQ sub-code ``-0.0``, which ``np.clip`` against 0 keeps on
-    numpy 2 and turns into ``+0.0`` on numpy 1; the C body follows
-    numpy 2.)
+    loaded, ``x`` is empty, the override is array-valued or negative, or a
+    block holds inf/NaN: the caller then runs the numpy body.  (A negative
+    scale can make a VSQ sub-code ``-0.0``, which ``np.clip`` against 0
+    keeps on numpy 2 and turns into ``+0.0`` on numpy 1; the C body
+    follows numpy 2.)
     """
     lib = _LIB if _LOADED else _kernel()
-    if lib is None or np.ndim(scale_override):
+    if lib is None or not x.size or np.ndim(scale_override):
         return None
     jit = scale_override is None
     scale = 0.0 if jit else float(_as_fp32(np.asarray(scale_override, dtype=_FLOAT64)))

@@ -90,6 +90,8 @@ def test_warm_load_imports_no_build_tooling_and_starts_nothing():
     )
     report = json.loads(done.stdout.strip().splitlines()[-1])
     assert report["kernel"] is not None
+    assert report["pow2_body"] == "avx2" or (report["pow2_body"] == "scalar"
+                                             and not report["avx2_cpu"])
     assert report["served"] == {"VSQ6": True, "scaled INT8": True}
     assert report["imported"] == [] and report["spawned"] == []
     assert done.returncode == 0

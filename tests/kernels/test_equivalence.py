@@ -10,10 +10,13 @@ with and without scale overrides.
 The numpy backend has two nearest-rounding bodies for pow2-scaled and
 fp32-scaled (INT, VSQ) configs: the compiled kernel
 (:mod:`repro.kernels.compiled`) and the numpy code that runs where it did
-not load.  The fast side of every comparison runs on both, the numpy body
-forced by the loader's test seam; the two must agree bit for
-bit (sign of zero included) and in memory layout, which later BLAS
-products read.  The fast side must equal the reference bit for bit too.
+not load.  The compiled pow2 body is itself two: an AVX2 body, which serves
+the geometries it covers on CPUs with AVX2, and a scalar C body for every
+other call.  The fast side of every comparison runs on all three, the
+scalar C body and the numpy body forced by the loader's test seams; they
+must agree bit for bit (sign of zero included) and in memory layout, which
+later BLAS products read.  The fast side must equal the reference bit for
+bit too.
 """
 
 import numpy as np
@@ -22,9 +25,10 @@ import pytest
 from repro.core.bdr import BDRConfig
 from repro.core.quantize import bdr_quantize, bdr_quantize_detailed, bdr_quantize_partial
 from repro.core.rounding import ROUNDING_MODES
+from repro.core.scaling import exponent_range
 from repro.fidelity.distributions import sample
 from repro.fidelity.sweep import bdr_design_space
-from repro.kernels import compiled, use_backend
+from repro.kernels import compiled, get_backend, use_backend
 
 DESIGN_SPACE = bdr_design_space()
 
@@ -66,13 +70,17 @@ def assert_same_bits(a, b, msg=""):
 
 
 def fast_side(run, label=""):
-    """``run()`` on the numpy backend, once per body; the bodies must agree
-    bit for bit.  Returns the compiled body's output."""
+    """``run()`` on the numpy backend, once per body (the compiled kernel as
+    dispatched, its scalar C body, the numpy body); the bodies must agree
+    bit for bit.  Returns the dispatched kernel's output."""
     with use_backend("numpy"):
         fast = run()
+        with compiled._scalar_body():
+            scalar = run()
         with compiled._numpy_body():
             slow = run()
-    assert_same_bits(fast, slow, label)
+    assert_same_bits(fast, scalar, f"{label} scalar C body")
+    assert_same_bits(fast, slow, f"{label} numpy body")
     return fast
 
 
@@ -144,6 +152,18 @@ def test_non_trailing_axes(config, axis):
 def test_empty_input(config):
     ref, fast = both_backends(np.zeros((0, 16)), config)
     assert ref.shape == fast.shape == (0, 16)
+    # bdr_quantize returns early on no elements; the backend's entry points
+    # must too, whatever the block axis (the compiled wrappers decline such
+    # inputs rather than divide by a zero extent)
+    for shape, axis in [((4, 0), -1), ((0, 16), 0), ((3, 0, 5), 1), ((3, 5, 0), 1)]:
+        x = np.zeros(shape)
+        with use_backend("reference"):
+            ref = get_backend().quantize(x, config, axis, "nearest", None, None, False)
+        label = f"{config.label} {shape} axis={axis}"
+        assert_same_bits(fast_side(lambda: get_backend().quantize(
+            x, config, axis, "nearest", None, None, False), label), ref, label)
+        assert_same_bits(fast_side(lambda: get_backend().quantize_partial(
+            x, config, axis, "nearest", None), label), ref, label)
 
 
 @pytest.mark.parametrize("config", REPRESENTATIVE, ids=lambda c: c.label)
@@ -388,6 +408,148 @@ def test_bodies_bitwise_equal_over_design_space(config):
             label = f"{config.label} {shape} axis={axis} {kind}"
             fast_side(lambda: bdr_quantize(x, config, axis=axis), label)
             fast_side(lambda: bdr_quantize_partial(x[..., :1], config, axis=-1), label)
+
+
+# ----------------------------------------------------------------------
+# The compiled pow2 body's AVX2 and scalar C bodies, geometry by geometry
+# ----------------------------------------------------------------------
+#: the widest d1 the numpy body accepts (exponents -511 to 512), at one and
+#: two scaling levels
+WIDE_D1_CONFIGS = [
+    BDRConfig(m=4, k1=16, d1=10, k2=2, d2=1, ss_type="pow2"),
+    BDRConfig.bfp(m=7, k1=16, d1=10),
+]
+
+
+def cpu_has_avx2():
+    """Whether /proc/cpuinfo lists AVX2: read apart from the kernel's own
+    check, so a broken dispatch cannot excuse itself."""
+    try:
+        with open("/proc/cpuinfo") as info:
+            return any("avx2" in line.split() for line in info if line.startswith("flags"))
+    except OSError:
+        return False
+
+
+def _clamp_values(rng, shape, config):
+    """Magnitudes at, just inside and past the config's exponent clamps,
+    exact powers of two among them."""
+    lo, hi = exponent_range(config.d1)
+    exps = rng.choice([lo - 3, lo - 1, lo, lo + 1, hi - 1, hi, hi + 1], size=shape)
+    mantissa = np.where(rng.random(shape) < 0.3, 1.0, 1.0 + rng.random(shape))
+    return rng.choice([-1.0, 1.0], size=shape) * np.ldexp(mantissa, exps)
+
+
+def _grid_kinds(rng, shape, config):
+    kinds = _value_kinds(rng, shape)
+    del kinds["normal"], kinds["tiny"]  # "wide" and "signed_zeros" cover them
+    kinds["clamps"] = _clamp_values(rng, shape, config)
+    return kinds
+
+
+def _grid(config):
+    """(shape, axis) pairs: trailing-axis rows of full blocks, of a partial
+    block after full ones, shorter than k1 and shorter than a vector, and
+    every inner extent from 1 to 13 along a middle axis."""
+    k1 = config.k1
+    trailing = [(3, k1), (3, 2 * k1 + 1), (2, max(k1 - 1, 1)), (5, 3), (4, 4 * k1 + 6)]
+    return ([(shape, -1) for shape in trailing]
+            + [((2, k1 + 3, inner), 1) for inner in range(1, 14)])
+
+
+def assert_bodies_agree(x, config, axis, label):
+    """The kernel as dispatched equals its scalar C body, bits and strides,
+    in both output layouts."""
+    for c_order in (False, True):
+        fast = compiled.pow2_nearest(x, config, axis, c_order)
+        with compiled._scalar_body():
+            scalar = compiled.pow2_nearest(x, config, axis, c_order)
+        assert fast is not None and scalar is not None, label
+        assert_same_bits(fast, scalar, f"{label} c_order={c_order}")
+
+
+@pytest.mark.parametrize("config", DESIGN_SPACE + EDGE_CONFIGS + WIDE_D1_CONFIGS,
+                         ids=lambda c: c.label)
+def test_avx2_and_scalar_bodies_bitwise_equal(config):
+    """The AVX2 body equals the scalar C body on every sweep point, edge
+    config and the widest d1: trailing full and partial blocks (n < k1 and
+    n % 4 != 0 too), inner extents 1 to 13, both output layouts, and values
+    with signed zeros, subnormals, huge magnitudes and maxima at the
+    exponent clamps."""
+    requires_kernel()
+    rng = np.random.default_rng(22)
+    for shape, axis in _grid(config):
+        for kind, x in _grid_kinds(rng, shape, config).items():
+            assert_bodies_agree(x, config, axis, f"{config.label} {shape} axis={axis} {kind}")
+
+
+@pytest.mark.parametrize("config", POW2_CONFIGS + WIDE_D1_CONFIGS, ids=lambda c: c.label)
+def test_avx2_geometries_match_reference(config):
+    """The grid's geometries, transposed inputs among them, against the
+    reference backend on all three bodies."""
+    rng = np.random.default_rng(23)
+    for shape, axis in _grid(config):
+        x = _clamp_values(rng, shape, config)
+        x.flat[::5] = -0.0
+        assert_bit_exact(x, config, axis=axis)
+        if x.ndim == 3 and config.k1 <= 64:
+            assert_bit_exact(x.T, config, axis=1)  # a (inner, n, 2) view
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # deliberate inf/NaN
+@pytest.mark.parametrize("poison", [np.inf, -np.inf, np.nan])
+def test_one_non_finite_block_among_finite_ones_declines_on_both_bodies(poison):
+    """A single inf or NaN in a middle block makes both C bodies decline the
+    whole call, along every geometry the AVX2 body covers; the backend's
+    answer still equals the reference."""
+    requires_kernel()
+    rng = np.random.default_rng(24)
+    for config in (BDRConfig.mx(m=4), BDRConfig.bfp(m=7, k1=16),
+                   BDRConfig(m=3, k1=32, d1=8, k2=8, d2=2, ss_type="pow2")):
+        for shape, axis, where in [((3, 4 * config.k1), -1, (1, config.k1 + 5)),
+                                   ((4 * config.k1, 6), 0, (config.k1 + 5, 4)),
+                                   ((2, 3 * config.k1, 5), 1, (1, config.k1 + 1, 2))]:
+            x = rng.normal(size=shape)
+            x[where] = poison
+            for c_order in (False, True):
+                assert compiled.pow2_nearest(x, config, axis, c_order) is None
+                with compiled._scalar_body():
+                    assert compiled.pow2_nearest(x, config, axis, c_order) is None
+            ref, fast = both_backends(x, config, axis=axis)
+            np.testing.assert_array_equal(ref, fast)
+
+
+def test_avx2_body_serves_the_geometries_it_covers():
+    """Where the CPU has AVX2, the vector body serves trailing-axis blocks
+    (k1 a multiple of 4; k2 of 1, 2 or a multiple of 4) and fibers along
+    other axes (k1 <= 256 into the block-last layout); the scalar C body
+    serves every other call, and every call under its seam."""
+    requires_kernel()
+    if not cpu_has_avx2():
+        pytest.skip("no AVX2 on this CPU: the scalar C body serves every call")
+    rng = np.random.default_rng(25)
+    mx6, k3 = BDRConfig.mx(m=4), BDRConfig(m=2, k1=12, d1=8, k2=3, d2=1, ss_type="pow2")
+    wide_block = EDGE_CONFIGS[0]  # k1 = 1024, k2 = 1
+    cases = [
+        (mx6, (6, 40), -1, False, "avx2"),
+        (mx6, (40, 6), 0, False, "avx2"),
+        (mx6, (40, 6), 0, True, "avx2"),
+        (BDRConfig.bfp(m=7, k1=16), (2, 40, 3), 1, False, "avx2"),
+        (wide_block, (2, 1030), -1, False, "avx2"),
+        (wide_block, (1030, 2), 0, True, "avx2"),
+        (wide_block, (1030, 2), 0, False, "scalar"),
+        (BDRConfig.bfp(m=5, k1=1), (3, 7), -1, False, "scalar"),
+        (BDRConfig.bfp(m=5, k1=1), (7, 3), 0, False, "avx2"),
+        (k3, (3, 24), -1, False, "scalar"),
+        (k3, (24, 3), 0, False, "avx2"),
+    ]
+    for config, shape, axis, c_order, body in cases:
+        x = rng.normal(size=shape)
+        assert compiled.pow2_nearest(x, config, axis, c_order) is not None
+        assert compiled.last_pow2_body() == body, (config.label, shape, axis, c_order)
+        with compiled._scalar_body():
+            compiled.pow2_nearest(x, config, axis, c_order)
+            assert compiled.last_pow2_body() == "scalar"
 
 
 # ----------------------------------------------------------------------
